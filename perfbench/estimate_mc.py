@@ -25,18 +25,19 @@ from typing import Callable, List, Optional
 from perfbench.host import GCMeter, HostReference
 from perfbench.inputs import sub_rng
 from perfbench.layers import add_estimation_layers, estimation_layer_metrics
-from perfbench.measure import (
-    ChunkClock,
-    Config,
-    Result,
-    own_peak_rss_mb,
-    timed_setups,
-)
+from perfbench.measure import ChunkClock, Config, Result, SetupTimer, own_peak_rss_mb
 from perfbench.stats import Series
 from perfbench.trace import Tracer
 
 #: E6's straddle rule: |estimate - exact| <= 3 * CI width + slack.
 E6_SLACK = 0.02
+#: Fresh processes whose set-up is timed.
+SETUP_REPEATS = 15
+#: End-to-end metrics published raw: the tails. A tail picks the
+#: rounds that met a burst of host noise, which the kernel samples at a
+#: round's two ends see least well, so scaling widened their spread
+#: (README, "A drifting host").
+RAW_METRICS = ("a_tail_us", "b_tail_us")
 
 
 @dataclass
@@ -126,19 +127,32 @@ def check_legs(legs: List[Leg], problems: List[str], extra: dict) -> None:
         problems.append(f"Cluster* engines disagree: {p1:.4f} vs {p2:.4f}")
 
 
-def run(config: Config, pre_setup_start: float) -> Result:
-    """Set up, measure and check; see the module docstring."""
-    legs = make_legs()
-    ref = HostReference()
-    pre_setup_s = time.perf_counter() - pre_setup_start
-    seed_base = sub_rng(config.seed, "estimate-mc").getrandbits(48)
+def _seed_base(config: Config) -> int:
+    return sub_rng(config.seed, "estimate-mc").getrandbits(48)
 
-    def warm_up():
-        for index, leg in enumerate(legs):
+
+def setup(config: Config, timer: SetupTimer) -> List[Leg]:
+    """Everything before the first measured trial: the imports and the
+    suite, then one small warm-up estimate of every leg, each a timed
+    step."""
+    with timer.step():
+        legs = make_legs()
+    seed_base = _seed_base(config)
+    for index, leg in enumerate(legs):
+        with timer.step():
             leg.estimate(1 if leg.engine == "python" else 64, seed_base + index)
-        return legs
+    return legs
 
-    _, setup_raw, setup_scaled = timed_setups(ref, warm_up, lambda kept: None)
+
+def close(state) -> None:
+    """Nothing to release."""
+
+
+def run(config: Config) -> Result:
+    """Set up, measure and check; see the module docstring."""
+    legs = setup(config, SetupTimer())
+    ref = HostReference()
+    seed_base = _seed_base(config)
     tracer = Tracer()
     if config.trace:
         add_estimation_layers(tracer)
@@ -188,9 +202,6 @@ def run(config: Config, pre_setup_start: float) -> Result:
         clock=clock,
         a=a,
         b=b,
-        pre_setup_s=pre_setup_s,
-        setup_raw_s=setup_raw,
-        setup_scaled_s=setup_scaled,
         peak_rss_mb=own_peak_rss_mb(),
         attempted=trials_done,
         failed=0,

@@ -16,15 +16,9 @@ import time
 from typing import List, Optional
 
 from perfbench.host import GCMeter, HostReference
-from perfbench.inputs import KVInputs, check_gets, make_kv_inputs
+from perfbench.inputs import check_gets, make_kv_inputs
 from perfbench.layers import add_kv_layers, kv_layer_metrics
-from perfbench.measure import (
-    ChunkClock,
-    Config,
-    Result,
-    own_peak_rss_mb,
-    timed_setups,
-)
+from perfbench.measure import ChunkClock, Config, Result, SetupTimer, own_peak_rss_mb
 from perfbench.stats import Series
 from perfbench.trace import Tracer
 
@@ -35,36 +29,48 @@ RECORDS = 40_000
 STREAM_OPS = 120_000
 CHUNK_OPS = 1_000
 GET_FRACTION = 0.5
+#: Records loaded per timed set-up step (about a measured chunk's time).
+LOAD_STEP = 2_000
+#: Fresh processes whose set-up is timed.
+SETUP_REPEATS = 5
+#: End-to-end metrics published raw (none: scaling narrows them all).
+RAW_METRICS = ()
 
 
-def build_cluster(inputs: KVInputs, seed: int):
-    """A fresh 4-node RF=3 cluster holding every record."""
-    from repro.distributed.cluster import ClusterSimulator
-    from repro.kvstore.options import Options
-
-    sim = ClusterSimulator(
-        NODES, Options, seed=seed, replication_factor=REPLICATION
-    )
+def setup(config: Config, timer: SetupTimer):
+    """Everything before the first measured op: the imports, the inputs,
+    and a cluster holding every record, loaded in timed steps of
+    :data:`LOAD_STEP` records."""
+    with timer.step():
+        from repro.distributed.cluster import ClusterSimulator
+        from repro.kvstore.options import Options
+    with timer.step():
+        inputs = make_kv_inputs(
+            config.seed, "kv-cluster-rf3", RECORDS, STREAM_OPS, GET_FRACTION
+        )
+    with timer.step():
+        sim = ClusterSimulator(
+            NODES, Options, seed=config.seed, replication_factor=REPLICATION
+        )
     put = sim.put
-    for key, value in inputs.records:
-        put(key, value)
-    return sim
+    for start in range(0, RECORDS, LOAD_STEP):
+        with timer.step():
+            for key, value in inputs.records[start:start + LOAD_STEP]:
+                put(key, value)
+    return inputs, sim
 
 
-def run(config: Config, pre_setup_start: float) -> Result:
+def close(state) -> None:
+    """Nothing to release: the cluster lives in this process's memory."""
+
+
+def run(config: Config) -> Result:
     """Set up, measure and check; see the module docstring."""
     from repro.distributed.migration import audit_id_uniqueness
     from repro.errors import ClusterUnavailableError
 
-    inputs = make_kv_inputs(
-        config.seed, "kv-cluster-rf3", RECORDS, STREAM_OPS, GET_FRACTION
-    )
+    inputs, sim = setup(config, SetupTimer())
     ref = HostReference()
-    pre_setup_s = time.perf_counter() - pre_setup_start
-
-    sim, setup_raw, setup_scaled = timed_setups(
-        ref, lambda: build_cluster(inputs, config.seed), lambda sim: None
-    )
     tracer = Tracer()
     if config.trace:
         add_kv_layers(tracer, cluster=True)
@@ -125,9 +131,6 @@ def run(config: Config, pre_setup_start: float) -> Result:
         clock=clock,
         a=a,
         b=b,
-        pre_setup_s=pre_setup_s,
-        setup_raw_s=setup_raw,
-        setup_scaled_s=setup_scaled,
         peak_rss_mb=own_peak_rss_mb(),
         attempted=attempted,
         failed=failed,

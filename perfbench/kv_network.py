@@ -25,18 +25,14 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from perfbench.host import CoresReference, GCMeter, HostReference
 from perfbench.inputs import KVInputs, check_gets, make_kv_inputs, sub_rng
 from perfbench.layers import add_rpc_client_layers, rpc_layer_metrics
-from perfbench.measure import (
-    ChunkClock,
-    Config,
-    Result,
-    timed_setups,
-)
+from perfbench.measure import ChunkClock, Config, Result, SetupTimer
 from perfbench.stats import Series
 from perfbench.trace import Tracer
 
@@ -48,6 +44,10 @@ RECORDS = 10_000
 STREAM_OPS = 60_000
 CHUNK_OPS = 1_000  # per connection
 GET_FRACTION = 0.95
+#: Fresh processes whose set-up is timed (each starts a server).
+SETUP_REPEATS = 3
+#: End-to-end metrics published raw (none: see the README on the tails).
+RAW_METRICS = ()
 #: Seconds to wait for the server to start, answer a toggle, or exit.
 SERVER_TIMEOUT = 60.0
 
@@ -171,80 +171,108 @@ async def _run_windows(clients, windows, gots, lats, failures) -> None:
     ))
 
 
-def run(config: Config, pre_setup_start: float) -> Result:
-    """Set up, measure and check; see the module docstring."""
+@dataclass
+class Deployment:
+    """The inputs, the running server and the loaded connections."""
+
+    shards: List[KVInputs]
+    cores: List[int]
+    loop: asyncio.AbstractEventLoop
+    server: ServerProcess
+    clients: List
+
+
+async def _connect(server: ServerProcess, shards: List[KVInputs], seeds: List[int]):
+    """Open and attach one connection per shard, then load its records."""
     from repro.distributed.rpc import RPCClient
 
-    shards: List[KVInputs] = [
-        make_kv_inputs(
-            config.seed, f"kv-network-{shard}", RECORDS, STREAM_OPS, GET_FRACTION
+    host, port = server.address
+    opened = []
+    for shard in range(CONNECTIONS):
+        client = await RPCClient.connect(host, port)
+        await client.attach(shard, seeds[shard])
+        opened.append(client)
+    failures: List[int] = []
+    await asyncio.gather(*(
+        _run_window(
+            client,
+            [(False, key, value) for key, value in inputs.records],
+            [None] * RECORDS, [0] * RECORDS, failures,
         )
-        for shard in range(CONNECTIONS)
-    ]
+        for client, inputs in zip(opened, shards)
+    ))
+    if failures:
+        raise RuntimeError(f"{len(failures)} load puts failed")
+    return opened
+
+
+async def _disconnect(clients) -> None:
+    for client in clients:
+        await client.aclose()
+    # Let the server see the connections close before it is stopped.
+    await asyncio.sleep(0.2)
+
+
+def setup(config: Config, timer: SetupTimer) -> Deployment:
+    """Everything before the first measured op: the inputs, the server
+    (pinned to its own core when there are two), and both connections
+    attached and loaded, in three timed steps."""
+    with timer.step():
+        shards: List[KVInputs] = [
+            make_kv_inputs(
+                config.seed, f"kv-network-{shard}", RECORDS, STREAM_OPS, GET_FRACTION
+            )
+            for shard in range(CONNECTIONS)
+        ]
     seeds = [sub_rng(config.seed, f"attach-{s}").getrandbits(63) for s in range(CONNECTIONS)]
     spans = ROOT / ".perfbench" / f"spans-kv-network-server-seed{config.seed}.bin"
     cores = _cores()
     if cores:
         os.sched_setaffinity(0, {cores[0]})
-        ref = CoresReference(cores)
-    else:
-        ref = HostReference()
     loop = asyncio.new_event_loop()
-    pre_setup_s = time.perf_counter() - pre_setup_start
-    servers: List[ServerProcess] = []
-    clients: List = []
-
-    async def connect(server: ServerProcess):
-        host, port = server.address
-        opened = []
-        for shard in range(CONNECTIONS):
-            client = await RPCClient.connect(host, port)
-            await client.attach(shard, seeds[shard])
-            opened.append(client)
-        failures: List[int] = []
-        await asyncio.gather(*(
-            _run_window(
-                client,
-                [(False, key, value) for key, value in inputs.records],
-                [None] * RECORDS, [0] * RECORDS, failures,
-            )
-            for client, inputs in zip(opened, shards)
-        ))
-        if failures:
-            raise RuntimeError(f"{len(failures)} load puts failed")
-        return opened
-
-    async def close(opened):
-        for client in opened:
-            await client.aclose()
-        # Let the server see the connections close before it is stopped.
-        await asyncio.sleep(0.2)
-
-    def build():
-        server = ServerProcess(
-            config.trace, spans if config.trace else None,
-            cores[1] if cores else None,
-        )
-        servers.append(server)
-        clients[:] = loop.run_until_complete(connect(server))
-        return server
-
-    def discard(server: ServerProcess) -> None:
-        loop.run_until_complete(close(clients))
-        server.stop()
-
+    server = None
     try:
-        server, setup_raw, setup_scaled = timed_setups(ref, build, discard)
-        result = _measure(config, loop, server, clients, shards, ref)
-        result.pre_setup_s = pre_setup_s
-        result.setup_raw_s = setup_raw
-        result.setup_scaled_s = setup_scaled
-        loop.run_until_complete(close(clients))
-        summary = server.stop()
-    finally:
-        for started in servers:
-            started.kill()
+        with timer.step():
+            server = ServerProcess(
+                config.trace, spans if config.trace else None,
+                cores[1] if cores else None,
+            )
+        with timer.step():
+            clients = loop.run_until_complete(_connect(server, shards, seeds))
+    except BaseException:
+        if server is not None:
+            server.kill()
         loop.close()
+        raise
+    return Deployment(shards, cores, loop, server, clients)
+
+
+def close(deployment: Deployment) -> Dict:
+    """Close the connections, stop the server and return its exit
+    summary (empty if it gave none)."""
+    try:
+        deployment.loop.run_until_complete(_disconnect(deployment.clients))
+        return deployment.server.stop()
+    finally:
+        deployment.server.kill()
+        deployment.loop.close()
+
+
+def run(config: Config) -> Result:
+    """Set up, measure and check; see the module docstring."""
+    deployment = setup(config, SetupTimer())
+    try:
+        cores = deployment.cores
+        ref = CoresReference(cores) if cores else HostReference()
+        result = _measure(
+            config, deployment.loop, deployment.server, deployment.clients,
+            deployment.shards, ref,
+        )
+    except BaseException:
+        deployment.server.kill()
+        deployment.loop.close()
+        raise
+    summary = close(deployment)
     if not summary:
         result.problems.append("the server exited without its summary")
         return result
@@ -310,9 +338,6 @@ def _measure(config, loop, server, clients, shards, ref) -> Result:
         clock=clock,
         a=a,
         b=b,
-        pre_setup_s=0.0,
-        setup_raw_s=[],
-        setup_scaled_s=[],
         peak_rss_mb=0.0,
         attempted=attempted,
         failed=failed,

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
-import gc
+import json
 import resource
 import statistics
+import subprocess
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from perfbench.host import NOMINAL_REF_US, HostReference, scale_factor
+from perfbench.host import HostReference, scale_factor
 from perfbench.stats import Series
 
-#: Set-up is repeated this many times per run; the median is reported.
-SETUP_REPEATS = 3
+ROOT = Path(__file__).resolve().parent.parent
+#: Seconds one set-up process may take before it is killed.
+SETUP_TIMEOUT = 120.0
 
 
 @dataclass(frozen=True)
@@ -83,32 +87,49 @@ class Totals:
         return self.ops / (ns / 1e9) if ns else 0.0
 
 
-def timed_setups(
-    ref: HostReference,
-    build: Callable[[], object],
-    discard: Callable[[object], None],
-) -> Tuple[object, List[float], List[float]]:
-    """Run ``build()`` :data:`SETUP_REPEATS` times and keep the last
-    result; earlier ones go to ``discard`` (then a full collection)
-    outside the timed span. Returns the kept result and the raw and
-    host-scaled set-up times in seconds."""
+class SetupTimer:
+    """Times set-up in steps, each bracketed by reference measurements:
+    the chunk clock's scaling, applied to set-up. A step should take
+    about as long as a measured chunk. Without a reference the steps
+    just run, untimed."""
+
+    def __init__(self, ref: Optional[HostReference] = None):
+        self.ref = ref
+        self.raw_s = 0.0
+        self.scaled_s = 0.0
+        self._before = ref.measure() if ref is not None else 0.0
+
+    @contextmanager
+    def step(self) -> Iterator[None]:
+        """Time the body of a ``with`` block as one set-up step."""
+        if self.ref is None:
+            yield
+            return
+        start = time.perf_counter()
+        yield
+        seconds = time.perf_counter() - start
+        after = self.ref.measure()
+        self.raw_s += seconds
+        self.scaled_s += seconds * scale_factor(self._before, after)
+        self._before = after
+
+
+def cold_setups(command: List[str], repeats: int) -> Tuple[List[float], List[float]]:
+    """Run ``command`` (a ``--setup-only`` run) ``repeats`` times, one
+    fresh process after another. Each child times its set-up with a
+    :class:`SetupTimer` and reports it as the last line of its output.
+    Returns the children's raw and host-scaled set-up times in seconds."""
     raw: List[float] = []
     scaled: List[float] = []
-    result = None
-    before = ref.measure()
-    for _ in range(SETUP_REPEATS):
-        if result is not None:
-            discard(result)
-            result = None
-            gc.collect()
-            before = ref.measure()
-        start = time.perf_counter()
-        result = build()
-        seconds = time.perf_counter() - start
-        after = ref.measure()
-        raw.append(seconds)
-        scaled.append(seconds * scale_factor(before, after))
-    return result, raw, scaled
+    for _ in range(repeats):
+        done = subprocess.run(
+            command, cwd=ROOT, stdout=subprocess.PIPE, check=True,
+            timeout=SETUP_TIMEOUT,
+        )
+        report = json.loads(done.stdout.splitlines()[-1])
+        raw.append(report["raw_s"])
+        scaled.append(report["scaled_s"])
+    return raw, scaled
 
 
 @dataclass
@@ -120,12 +141,12 @@ class Result:
     clock: ChunkClock
     a: Series
     b: Series
-    pre_setup_s: float
-    setup_raw_s: List[float]
-    setup_scaled_s: List[float]
     peak_rss_mb: float
     attempted: int
     failed: int
+    #: Raw and host-scaled times of the fresh set-up processes.
+    setup_raw_s: List[float] = field(default_factory=list)
+    setup_scaled_s: List[float] = field(default_factory=list)
     problems: List[str] = field(default_factory=list)
     #: Extra human-readable figures (trial rates, checks).
     extra: Dict[str, float] = field(default_factory=dict)
@@ -140,11 +161,8 @@ class Result:
     tracer: object = None
 
     def setup_seconds(self, scaled: bool) -> float:
-        """Pre-setup plus the median repeated set-up time."""
-        repeats = self.setup_scaled_s if scaled else self.setup_raw_s
-        first_ref = self.clock.ref.samples_us[0]
-        pre = self.pre_setup_s * (NOMINAL_REF_US / first_ref if scaled else 1.0)
-        return pre + statistics.median(repeats)
+        """Median set-up time of the fresh set-up processes."""
+        return statistics.median(self.setup_scaled_s if scaled else self.setup_raw_s)
 
 
 def own_peak_rss_mb() -> float:

@@ -7,19 +7,19 @@ is a JSON object holding every end-to-end metric; with ``--trace 1``
 the run alternates untraced and traced chunks and the JSON holds every
 per-layer metric instead. The exit code is 1 when an output check
 fails and 2 when the library sources are missing.
+
+Before measuring, a run times the workload's set-up in fresh processes:
+each is this script with ``--setup-only``, which sets the workload up in
+timed steps, prints ``{"raw_s": ..., "scaled_s": ...}`` and exits.
 """
 
 from __future__ import annotations
 
-import time
-
-_PROCESS_START = time.perf_counter()
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -35,9 +35,9 @@ E2E = {
     "setup_s": "s",
     "peak_rss_mb": "MB",
 }
-#: Metrics published in host-scaled form; each has a ``raw.*`` twin
-#: among the per-layer metrics. Scaling narrowed the run-to-run spread
-#: of every timing on every workload (README, "A drifting host").
+#: Metrics published in host-scaled form unless the workload lists them
+#: in its ``RAW_METRICS``; each has a ``raw.*`` twin among the per-layer
+#: metrics (README, "A drifting host").
 SCALED = ("ops_per_s", "a_p50_us", "a_tail_us", "b_p50_us", "b_tail_us", "setup_s")
 
 WORKLOADS = ("kv-cluster-rf3", "kv-network", "estimate-mc")
@@ -49,6 +49,7 @@ def _parse(argv):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     return parser.parse_args(argv)
 
 
@@ -66,7 +67,7 @@ def _e2e_values(result, scaled: bool) -> dict:
     }
 
 
-def _print_table(workload, result, raw: dict, scaled: dict) -> None:
+def _print_table(workload, result, raw: dict, scaled: dict, published: tuple) -> None:
     from perfbench.stats import ppm_label
 
     kind_a, kind_b = result.kind_names
@@ -84,7 +85,7 @@ def _print_table(workload, result, raw: dict, scaled: dict) -> None:
     print(f"{'metric':<24}{'as':<20}{'unit':<6}{'value':>14}{'raw':>14}{'n':>9}")
     for name, unit in E2E.items():
         label, count = labels[name]
-        is_scaled = name in SCALED
+        is_scaled = name in published
         form = "scaled" if is_scaled else "raw"
         value = scaled[name] if is_scaled else raw[name]
         print(
@@ -143,10 +144,26 @@ def main(argv=None) -> int:
         from perfbench import kv_network as workload
     else:
         from perfbench import estimate_mc as workload
-    result = workload.run(config, _PROCESS_START)
+    from perfbench.host import HostReference
+    from perfbench.measure import SetupTimer, cold_setups
+
+    if args.setup_only:
+        timer = SetupTimer(HostReference())
+        state = workload.setup(config, timer)
+        print(json.dumps({"raw_s": timer.raw_s, "scaled_s": timer.scaled_s}), flush=True)
+        workload.close(state)
+        return 0
+
+    setup_raw, setup_scaled = cold_setups([
+        sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
+        "--seed", str(args.seed), "--seconds", "0", "--trace", "0", "--setup-only",
+    ], workload.SETUP_REPEATS)
+    result = workload.run(config)
+    result.setup_raw_s, result.setup_scaled_s = setup_raw, setup_scaled
     raw = _e2e_values(result, scaled=False)
     scaled = _e2e_values(result, scaled=True)
-    _print_table(args.workload, result, raw, scaled)
+    published = tuple(name for name in SCALED if name not in workload.RAW_METRICS)
+    _print_table(args.workload, result, raw, scaled, published)
     print("detail: " + json.dumps({"raw": raw, "scaled": scaled, **result.extra}))
     if config.trace:
         units = layer_units()
@@ -155,7 +172,7 @@ def main(argv=None) -> int:
     else:
         units = dict(E2E)
         values = {
-            name: scaled[name] if name in SCALED else raw[name]
+            name: scaled[name] if name in published else raw[name]
             for name in E2E
         }
     correct = not result.problems and result.failed == 0

@@ -24,7 +24,7 @@ from perfbench.inputs import (  # noqa: E402
     stream_digest,
     sub_rng,
 )
-from perfbench.measure import ChunkClock, Totals  # noqa: E402
+from perfbench.measure import ChunkClock, SetupTimer, Totals  # noqa: E402
 from perfbench.stats import (  # noqa: E402
     percentile,
     ppm_label,
@@ -188,6 +188,23 @@ def test_chunk_clock_books_scaled_time():
     assert clock.plain.ops == 20 and clock.plain.raw_ns == 2_000_000
     assert clock.plain.scaled_ns == pytest.approx(1_000_000 * (1 / 1.5 + 0.5))
     assert Totals(ops=10, raw_ns=1_000_000_000).rate(scaled=False) == 10.0
+
+
+def test_setup_timer_scales_each_step_by_its_brackets():
+    timer = SetupTimer(_FakeRef([NOMINAL_REF_US, 2 * NOMINAL_REF_US, 2 * NOMINAL_REF_US]))
+    with timer.step():
+        sum(range(10_000))
+    first = timer.raw_s
+    assert first > 0 and timer.scaled_s == pytest.approx(first / 1.5)
+    with timer.step():
+        sum(range(10_000))
+    assert timer.scaled_s == pytest.approx(first / 1.5 + (timer.raw_s - first) * 0.5)
+    # Without a reference the steps run untimed.
+    untimed = SetupTimer()
+    ran = []
+    with untimed.step():
+        ran.append(True)
+    assert ran and untimed.raw_s == untimed.scaled_s == 0.0
 
 
 def test_cores_reference_ends_on_the_first_core():
