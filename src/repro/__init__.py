@@ -19,16 +19,15 @@ Public API highlights:
 Estimation plans
 ----------------
 
-Monte-Carlo estimation runs through one seam
-(:mod:`repro.simulation.plan`): a frozen :class:`SimulationPlan`
-naming the engine (``python`` game loop, ``batched`` set ops,
-``numpy`` vectorized kernels — all pluggable via the engine
-registry), the worker-process count, and optionally an adaptive
-precision target:
+Every Monte-Carlo estimate runs under one frozen
+:class:`SimulationPlan` (:mod:`repro.simulation.plan`) naming the
+engine — ``python`` (the reference RNG universe) or ``numpy``
+(vectorized kernels, its own universe); :data:`ENGINES` lists both —
+the worker-process count, and optionally an adaptive precision target:
 
 * ``estimate_collision_probability(..., plan=SimulationPlan(workers=N))``
   shards trials across ``N`` processes; per-trial seed derivation
-  makes the result **bit-identical at any worker/round split**.
+  makes the result **bit-identical at any worker count**.
   Factories must pickle to cross process boundaries — use
   :class:`SpecFactory`, :class:`ObliviousFactory`, or
   :class:`AttackFactory` instead of lambdas.
@@ -38,7 +37,7 @@ precision target:
 * every :class:`IDGenerator` offers ``generate_batch(count)``, a
   vectorized fast path producing whole demand vectors per call
   (optimized for ``Random``, ``Bins``, ``Cluster`` and ``Cluster*``);
-  ``estimate_profile_collision`` uses it by default.
+  the python engine uses it for every oblivious sequential profile.
 """
 
 from repro.adversary import (
@@ -75,6 +74,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.simulation import (
+    ENGINES,
     AttackFactory,
     Estimate,
     Game,
@@ -83,7 +83,6 @@ from repro.simulation import (
     SimulationPlan,
     SpecFactory,
     TrialTask,
-    available_engines,
     estimate_collision_probability,
     estimate_profile_collision,
     play_profile,
@@ -120,7 +119,7 @@ __all__ = [
     "SimulationPlan",
     "TrialTask",
     "run_plan",
-    "available_engines",
+    "ENGINES",
     "SpecFactory",
     "ObliviousFactory",
     "AttackFactory",

@@ -48,7 +48,7 @@ from repro.simulation.montecarlo import (
     estimate_collision_probability,
     estimate_profile_collision,
 )
-from repro.simulation.plan import SimulationPlan, available_engines
+from repro.simulation.plan import ENGINES, SimulationPlan
 from repro.simulation.seeds import rng_for
 
 
@@ -743,13 +743,12 @@ def _add_plan_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=list(available_engines()),
+        choices=ENGINES,
         default="python",
         help="Monte-Carlo trial engine: 'numpy' vectorizes oblivious "
         "trials as array operations (much faster, composes with "
-        "--workers), 'batched' pins the python fast path. python and "
-        "batched share one reproducible RNG stream; numpy is its own, "
-        "so its estimates differ by Monte-Carlo noise",
+        "--workers). Each engine has its own reproducible RNG stream, "
+        "so their estimates differ by Monte-Carlo noise",
     )
     parser.add_argument(
         "--precision",

@@ -10,9 +10,7 @@ Since PR 5 the fleet is a *replicated, fault-tolerant* serving system:
 
 * **Routing** — a consistent-hash ring with virtual nodes
   (:class:`~repro.distributed.ring.HashRing`) replaces the old static
-  ``crc32(key) % n`` routing. ``routing="modulo"`` keeps the legacy
-  behaviour as a back-compat shim (single-copy only); see the README
-  migration note.
+  ``crc32(key) % n`` routing.
 * **Replication** — every write goes to the key's ``replication_factor``
   preference-list nodes; a write is acknowledged once ``write_quorum``
   live replicas accepted it (default: majority of RF).
@@ -39,7 +37,6 @@ legacy values and lose to any cluster-managed copy.
 from __future__ import annotations
 
 import itertools
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -154,10 +151,6 @@ class ClusterSimulator:
         Replicas a read/write must reach (``R``/``W``); default is a
         majority of RF. ``R + W > RF`` makes reads see every
         acknowledged write even through a single-node outage.
-    routing:
-        ``"ring"`` (consistent hashing with virtual nodes — the
-        default) or ``"modulo"`` (the legacy ``crc32 % n`` shim,
-        single-copy only).
     vnodes:
         Virtual nodes per member on the ring.
     durable:
@@ -178,24 +171,14 @@ class ClusterSimulator:
         replication_factor: int = 1,
         read_quorum: Optional[int] = None,
         write_quorum: Optional[int] = None,
-        routing: str = "ring",
         vnodes: int = 64,
         durable: bool = False,
     ):
         if num_nodes < 1:
             raise ConfigurationError("need >= 1 node")
-        if routing not in ("ring", "modulo"):
-            raise ConfigurationError(
-                f"unknown routing {routing!r}; use 'ring' or 'modulo'"
-            )
         if not 1 <= replication_factor <= num_nodes:
             raise ConfigurationError(
                 f"replication_factor must be in [1, {num_nodes}]"
-            )
-        if routing == "modulo" and replication_factor != 1:
-            raise ConfigurationError(
-                "modulo routing is a single-copy back-compat shim; "
-                "replication needs routing='ring'"
             )
         default_quorum = majority(replication_factor)
         self.replication_factor = replication_factor
@@ -215,7 +198,6 @@ class ClusterSimulator:
                 )
         self.cache = BlockCache(cache_blocks)
         self.seed = seed
-        self.routing = routing
         #: Durable fleets give every node its own fault-injecting
         #: storage (seeded per node), unlocking ``kill(mode="crash")``.
         self.durable = durable
@@ -233,11 +215,7 @@ class ClusterSimulator:
         self._by_name: Dict[str, Node] = {
             node.name: node for node in self.nodes
         }
-        self.ring: Optional[HashRing] = (
-            HashRing([node.name for node in self.nodes], vnodes=vnodes)
-            if routing == "ring"
-            else None
-        )
+        self.ring = HashRing([node.name for node in self.nodes], vnodes=vnodes)
         self.migration_events: List[MigrationEvent] = []
         #: (action, node name, operation count at the time) — the
         #: chaos audit trail.
@@ -282,8 +260,6 @@ class ClusterSimulator:
 
     def preference_nodes(self, key: bytes) -> List[Node]:
         """The key's replica set, primary first (alive or not)."""
-        if self.ring is None:
-            return [self.nodes[zlib.crc32(key) % len(self.nodes)]]
         return [
             self._by_name[name]
             for name in self.ring.preference_list(
@@ -295,9 +271,8 @@ class ClusterSimulator:
         """Back-compat shim: the key's *primary* owner.
 
         Pre-ring code used this for single-copy routing; it now
-        returns the first node on the ring preference list (or the
-        ``crc32 % n`` node under ``routing="modulo"``), regardless of
-        aliveness. Replicated reads/writes go through the quorum paths
+        returns the first node on the ring preference list, regardless
+        of aliveness. Replicated reads/writes go through the quorum paths
         instead.
         """
         return self.preference_nodes(key)[0]
@@ -613,7 +588,7 @@ class ClusterSimulator:
         least-loaded live node (the seed behaviour);
         ``policy="ring"`` moves misplaced SSTs toward their key
         range's preference-list owners. The default is ``"load"`` for
-        single-copy fleets and ``"ring"`` for replicated ring
+        single-copy fleets and ``"ring"`` for replicated
         clusters: load-chasing migration can strand a replica's SST on
         a node outside the key's preference list, where quorum reads
         no longer look first — placement-preserving maintenance is the
@@ -624,11 +599,7 @@ class ClusterSimulator:
         must not turn routine maintenance into a crash.
         """
         if policy is None:
-            policy = (
-                "ring"
-                if self.ring is not None and self.replication_factor > 1
-                else "load"
-            )
+            policy = "ring" if self.replication_factor > 1 else "load"
         live = self.live_nodes()
         if len(live) < 2:
             return []
@@ -681,13 +652,8 @@ class ClusterSimulator:
 
         The new member claims ~``1/(n+1)`` of the key space (ring
         stability); :meth:`repair_replicas` then copies the rows whose
-        preference lists now include it. Requires ``routing="ring"``.
+        preference lists now include it.
         """
-        if self.ring is None:
-            raise ConfigurationError(
-                "add_node requires routing='ring' (the modulo shim "
-                "remaps nearly every key on membership change)"
-            )
         index = len(self.nodes)
         node = Node(
             name=name or f"node{index}",
@@ -727,11 +693,6 @@ class ClusterSimulator:
         Refuses to shrink below ``replication_factor`` live nodes and
         records a ``("decommission", name, ops)`` fault event.
         """
-        if self.ring is None:
-            raise ConfigurationError(
-                "decommission requires routing='ring' (the modulo "
-                "shim remaps nearly every key on membership change)"
-            )
         target = self._resolve(node)
         if not target.alive:
             raise ConfigurationError(

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.simulation.plan import SimulationPlan, fold_legacy_kwargs
+from repro.simulation.plan import SimulationPlan
 
 
 @dataclass(frozen=True)
@@ -39,32 +39,10 @@ class ExperimentConfig:
     #: per-experiment ``config.trials(base)`` counts become the trial
     #: *cap* once ``plan.target_halfwidth`` is set.
     plan: SimulationPlan = SimulationPlan()
-    #: Deprecated — fold into ``plan`` (kept as shims for one release).
-    workers: Optional[int] = None
-    engine: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        overrides = {}
-        if self.workers is not None:
-            overrides["workers"] = self.workers
-        if self.engine is not None:
-            overrides["engine"] = self.engine
-        if overrides:
-            folded = fold_legacy_kwargs(
-                self.plan,
-                overrides,
-                "ExperimentConfig(workers=, engine=)",
-                stacklevel=3,
-            )
-            object.__setattr__(self, "plan", folded)
-            # Clear the folded fields: equality/hash must match a
-            # plan-built config, and dataclasses.replace() must not
-            # re-fold (and re-warn) on every copy.
-            object.__setattr__(self, "workers", None)
-            object.__setattr__(self, "engine", None)
 
     def trials(self, base: int) -> int:
-        """Trial count: ``base`` scaled, quartered in quick mode."""
+        """Trial count: ``base`` scaled by ``trials_scale``; quick mode
+        divides it by 8 with a floor of 50."""
         scaled = int(base * self.trials_scale)
         if self.quick:
             scaled = max(50, scaled // 8)

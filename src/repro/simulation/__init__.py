@@ -1,6 +1,6 @@
-"""Game engine, the SimulationPlan estimation seam, engine registry,
-Monte-Carlo estimation, parallel batching, vectorized NumPy kernels,
-and seeds."""
+"""Game engine, Monte-Carlo estimation under a :class:`SimulationPlan`
+(engines ``python`` and ``numpy``), process-parallel trial sharding,
+vectorized NumPy kernels, and seeds."""
 
 from repro.simulation.batch import (
     AttackFactory,
@@ -9,13 +9,8 @@ from repro.simulation.batch import (
     count_range,
     play_trial,
     resolve_workers,
-    run_trials,
 )
-from repro.simulation.engines import (
-    BatchedEngine,
-    NumpyEngine,
-    PythonEngine,
-)
+from repro.simulation.engines import run_plan
 from repro.simulation.game import Game, GameResult, play_profile
 from repro.simulation.montecarlo import (
     Estimate,
@@ -24,16 +19,10 @@ from repro.simulation.montecarlo import (
     wilson_interval,
 )
 from repro.simulation.plan import (
-    Engine,
-    EngineRegistry,
+    ENGINES,
     RoundResult,
     SimulationPlan,
     TrialTask,
-    available_engines,
-    get_engine,
-    iter_rounds,
-    register_engine,
-    run_plan,
 )
 from repro.simulation.seeds import derive_seed, rng_for, seed_stream
 from repro.simulation.vectorized import (
@@ -58,22 +47,13 @@ __all__ = [
     "ObliviousFactory",
     "AttackFactory",
     "play_trial",
-    "run_trials",
     "count_range",
     "resolve_workers",
+    "ENGINES",
     "SimulationPlan",
     "TrialTask",
     "RoundResult",
-    "Engine",
-    "EngineRegistry",
     "run_plan",
-    "iter_rounds",
-    "get_engine",
-    "register_engine",
-    "available_engines",
-    "PythonEngine",
-    "BatchedEngine",
-    "NumpyEngine",
     "NUMPY_SEED_LABEL",
     "VectorPlan",
     "numpy_available",

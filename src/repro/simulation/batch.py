@@ -1,30 +1,31 @@
-"""Parallel, batched Monte-Carlo trial execution.
+"""Trial execution: the factory shims, one trial, and a range of trials.
 
-This module is the engine room beneath the
-:mod:`repro.simulation.plan` seam (and thus behind
-:func:`repro.simulation.montecarlo.estimate_collision_probability`):
-the registered engines slice trial-index ranges into rounds and hand
-them to :func:`count_range` here. Three mechanisms live in this file:
+This module is the engine room beneath
+:func:`repro.simulation.engines.run_plan`: the rounds loop there hands
+each round's trial-index range to :func:`count_range` here. Three
+mechanisms live in this file:
 
-* **Sharding** — independent seeded trials are strided across worker
-  processes (``concurrent.futures.ProcessPoolExecutor``). Every trial's
+* **Sharding** — independent seeded trials are strided across the
+  worker processes of the pool the caller hands in. Every trial's
   randomness derives from ``(root seed, trial index)`` alone via
   :func:`repro.simulation.seeds.derive_seed`, so the collision count —
-  and therefore the :class:`~repro.simulation.montecarlo.Estimate` — is
+  and therefore the :class:`~repro.simulation.stats.Estimate` — is
   bit-identical at any worker count, including the serial path.
-* **Batching** — oblivious sequential games skip the step-by-step game
-  loop entirely: each instance produces its whole demand vector through
-  :meth:`repro.core.base.IDGenerator.generate_batch` and collisions are
-  detected with set operations. The per-trial collision outcome is
-  provably the same as the game loop's, so estimates never change.
-* **Vectorization** — ``engine="numpy"`` goes further and simulates a
+* **The fast path** — oblivious sequential games skip the step-by-step
+  game loop entirely: each instance produces its whole demand vector
+  through :meth:`repro.core.base.IDGenerator.generate_batch` and
+  collisions are detected with set operations. The per-trial collision
+  outcome is the same as the game loop's, so estimates never change.
+  Adaptive adversaries, other orders and ``max_steps`` play the game
+  loop.
+* **Vectorization** — the ``numpy`` kind goes further and simulates a
   whole block of oblivious trials as array operations
   (:mod:`repro.simulation.vectorized`). Dispatch requires a
   :class:`SpecFactory` for one of the five core algorithms plus a
   sequential :class:`ObliviousFactory`; anything else (adaptive
   attacks, custom factories, out-of-regime profiles, a missing NumPy)
-  silently runs the python path. Unlike ``workers``/``batch`` — pure
-  go-faster knobs — the NumPy engine is a *separate RNG universe*:
+  silently runs the python path. Unlike ``workers`` — a pure
+  go-faster knob — the NumPy engine is a *separate RNG universe*:
   estimates are reproducible per engine but differ across engines by
   ordinary Monte-Carlo noise.
 
@@ -34,17 +35,13 @@ pickle, so this module also ships three picklable factory shims:
 :class:`SpecFactory` (registry spec string → generator),
 :class:`ObliviousFactory` (demand profile → oblivious adversary) and
 :class:`AttackFactory` (adversary class + kwargs → adaptive adversary).
-Unpicklable factories silently degrade to the serial path (same
-results, no speedup) after emitting a :class:`RuntimeWarning`.
 """
 
 from __future__ import annotations
 
 import inspect
 import os
-import pickle
-import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -55,6 +52,7 @@ from repro.core.registry import make_generator
 from repro.errors import ConfigurationError, GameError
 from repro.simulation import vectorized
 from repro.simulation.game import Game, InstanceFactory
+from repro.simulation.plan import ENGINES
 from repro.simulation.seeds import derive_seed, rng_for
 
 #: Seed-path label for the per-trial adversary RNG. Must stay in sync
@@ -92,7 +90,7 @@ class ObliviousFactory:
 
     With the default ``order="sequential"`` the factory is also
     *batchable*: :func:`play_trial` recognizes it and switches to the
-    vectorized ``generate_batch`` trial path.
+    ``generate_batch`` trial path.
     """
 
     profile: DemandProfile
@@ -145,7 +143,7 @@ class AttackFactory:
 
 
 # ---------------------------------------------------------------------------
-# Single-trial execution (game loop or vectorized batch path)
+# Single-trial execution (game loop or generate_batch fast path)
 # ---------------------------------------------------------------------------
 
 
@@ -204,15 +202,16 @@ def play_trial(
     trial: int,
     stop_on_collision: bool = True,
     max_steps: Optional[int] = None,
-    batch: bool = False,
 ) -> bool:
     """Play trial number ``trial`` and return whether it collided.
 
     This is *the* definition of a trial: both the serial loop and every
     worker process call it, which is what makes estimates independent
-    of how trials are scheduled.
+    of how trials are scheduled. Oblivious sequential profiles take the
+    ``generate_batch`` fast path unless ``max_steps`` truncates the
+    game; everything else plays the game loop.
     """
-    if batch and max_steps is None:
+    if max_steps is None:
         profile = _batchable_profile(adversary_factory)
         if profile is not None:
             return _play_profile_trial_batched(
@@ -264,8 +263,7 @@ _TrialBlock = Tuple[
     int,  # trials — total trial count across all blocks
     bool,  # stop_on_collision
     Optional[int],  # max_steps
-    bool,  # batch
-    str,  # engine
+    str,  # kind — "python" or "numpy"
 ]
 
 
@@ -281,10 +279,9 @@ def _run_trial_block(payload: _TrialBlock) -> int:
         trials,
         stop_on_collision,
         max_steps,
-        batch,
-        engine,
+        kind,
     ) = payload
-    if engine == "numpy" and max_steps is None:
+    if kind == "numpy" and max_steps is None:
         plan = _vector_plan(factory, m, adversary_factory)
         if plan is not None:
             return plan.count_collisions(seed, offset, stride, trials)
@@ -298,7 +295,6 @@ def _run_trial_block(payload: _TrialBlock) -> int:
             trial,
             stop_on_collision=stop_on_collision,
             max_steps=max_steps,
-            batch=batch,
         ):
             collisions += 1
     return collisions
@@ -319,73 +315,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def _pickle_obstacle(*objects: Any) -> Optional[BaseException]:
-    """The exception pickling ``objects`` raises, or ``None`` if they
-    round-trip. The concrete exception is surfaced in the serial-
-    fallback warning so users see *why* their factory stayed serial."""
-    try:
-        pickle.dumps(objects)
-        return None
-    except (pickle.PicklingError, TypeError, AttributeError, ValueError) as exc:
-        # The documented failure modes of pickle.dumps: closures and
-        # local classes (PicklingError/AttributeError), unsupported
-        # types (TypeError), recursive/invalid state (ValueError).
-        return exc
-
-
-def _warn_unpicklable(
-    obstacle: BaseException, stacklevel: int = 3
-) -> None:
-    warnings.warn(
-        "factories are not picklable "
-        f"({type(obstacle).__name__}: {obstacle}); running trials "
-        "serially (use SpecFactory / ObliviousFactory / AttackFactory "
-        "for cross-process execution)",
-        RuntimeWarning,
-        stacklevel=stacklevel,
-    )
-
-
-#: Fires the numpy-missing fallback warning once per process instead of
-#: once per ``estimate_*`` call (experiment sweeps made it deafening).
-_numpy_fallback_warned = False
-
-
-def _resolve_engine_kind(engine: str) -> str:
-    """Normalize an engine name to a trial-block kind.
-
-    ``batched`` is the python RNG universe with the batched fast path
-    forced on, so blocks execute as ``python``; ``numpy`` degrades to
-    ``python`` (with a once-per-process warning) when NumPy is absent.
-    Anything else is rejected loudly: this module only knows how to
-    execute the built-in kinds, and silently running the python loop
-    for, say, a registered third-party engine name would return
-    wrong-universe counts with no warning.
-    """
-    if engine == "batched":
-        return "python"
-    if engine == "numpy" and not vectorized.numpy_available():
-        global _numpy_fallback_warned
-        if not _numpy_fallback_warned:
-            _numpy_fallback_warned = True
-            warnings.warn(
-                "NumPy is not installed; engine='numpy' falling back to "
-                "the python engine (estimates will match "
-                "engine='python', not a NumPy-equipped host; this "
-                "warning fires once per process)",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        return "python"
-    if engine not in ("python", "numpy"):
-        raise ConfigurationError(
-            f"count_range cannot execute engine {engine!r}; it only "
-            "implements the built-in python/batched/numpy kinds — "
-            "custom engines must provide their own run_rounds"
-        )
-    return engine
-
-
 def count_range(
     factory: InstanceFactory,
     m: int,
@@ -395,36 +324,32 @@ def count_range(
     stop: int,
     stop_on_collision: bool = True,
     max_steps: Optional[int] = None,
-    workers: Optional[int] = None,
-    batch: bool = False,
-    engine: str = "python",
-    executor: Optional[ProcessPoolExecutor] = None,
+    kind: str = "python",
+    executor: Optional[Executor] = None,
+    workers: int = 1,
 ) -> int:
     """Count collisions over the trial indices ``[start, stop)``.
 
-    The partition-invariant primitive beneath :func:`run_trials` and
-    the plan-layer engines: each trial's outcome is a pure function of
-    ``(seed, trial index)``, so counts over any index range compose by
-    addition and never depend on ``workers``, ``batch``, or how a
-    caller slices the range into rounds.
+    The partition-invariant primitive beneath the rounds loop of
+    :mod:`repro.simulation.engines`: each trial's outcome is a pure
+    function of ``(seed, trial index)``, so counts over any index range
+    compose by addition and never depend on ``workers`` or how a caller
+    slices the range into rounds. ``kind`` is the engine
+    (``python``/``numpy``) whose trials to play.
 
-    Callers issuing many calls (the plan layer's rounds) pass a shared
-    ``executor`` so worker processes are spawned once, not per call;
-    without one a fresh pool is created when ``workers`` asks for it.
+    With an ``executor`` the range is strided across up to ``workers``
+    blocks that run in its processes; without one it runs in-process.
+    The caller owns the pool: this function neither checks that the
+    factories pickle nor spawns processes.
     """
-    kind = _resolve_engine_kind(engine)  # validate even for empty ranges
+    if kind not in ENGINES:
+        raise ConfigurationError(
+            f"unknown trial kind {kind!r}; expected one of "
+            f"{', '.join(ENGINES)}"
+        )
     if stop <= start:
         return 0
-    count = min(resolve_workers(workers), stop - start)
-    # A caller-supplied executor proves picklability — skip re-probing
-    # (a full pickle round-trip of both factories) on every round.
-    if count > 1 and executor is None:
-        obstacle = _pickle_obstacle(factory, adversary_factory)
-        if obstacle is not None:
-            _warn_unpicklable(obstacle)
-            count = 1
-    if engine == "batched":
-        batch = True
+    shards = 1 if executor is None else min(workers, stop - start)
     payloads = [
         (
             factory,
@@ -432,63 +357,14 @@ def count_range(
             adversary_factory,
             seed,
             start + shard,
-            count,
+            shards,
             stop,
             stop_on_collision,
             max_steps,
-            batch,
             kind,
         )
-        for shard in range(count)
+        for shard in range(shards)
     ]
-    if count <= 1:
+    if shards == 1:
         return _run_trial_block(payloads[0])
-    if executor is not None:
-        return sum(executor.map(_run_trial_block, payloads))
-    with ProcessPoolExecutor(max_workers=count) as pool:
-        return sum(pool.map(_run_trial_block, payloads))
-
-
-def run_trials(
-    factory: InstanceFactory,
-    m: int,
-    adversary_factory: AdversaryFactory,
-    trials: int,
-    seed: int = 0,
-    stop_on_collision: bool = True,
-    max_steps: Optional[int] = None,
-    workers: Optional[int] = None,
-    batch: bool = False,
-    engine: str = "python",
-) -> int:
-    """Count collisions over ``trials`` independent seeded games.
-
-    Within one RNG universe the result depends only on ``(seed,
-    trials)`` and the factories — never on ``workers`` or ``batch`` —
-    because each trial's outcome is a pure function of its derived seed
-    and addition commutes across shards. ``engine="numpy"`` switches
-    batchable oblivious workloads to the vectorized kernels of
-    :mod:`repro.simulation.vectorized` (a separate, equally
-    reproducible RNG universe); non-vectorizable workloads run the
-    python path unchanged. ``engine`` accepts any registered engine
-    name (see :func:`repro.simulation.plan.available_engines`) —
-    execution goes through that engine's own ``run_rounds``.
-    """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    from repro.simulation.plan import SimulationPlan, TrialTask, get_engine
-
-    plan = SimulationPlan(engine=engine, workers=workers, batch=batch)
-    task = TrialTask(
-        factory=factory,
-        m=m,
-        adversary_factory=adversary_factory,
-        stop_on_collision=stop_on_collision,
-        max_steps=max_steps,
-    )
-    return sum(
-        round_result.collisions
-        for round_result in get_engine(engine).run_rounds(
-            plan, task, seed, 0, trials
-        )
-    )
+    return sum(executor.map(_run_trial_block, payloads))

@@ -1,169 +1,209 @@
-"""The built-in estimation engines, registered behind the plan seam.
+"""Executing a :class:`~repro.simulation.plan.SimulationPlan`.
 
-Three backends self-register into :data:`repro.simulation.plan.REGISTRY`
-on import:
+:func:`run_plan` drives every estimate. :func:`run_rounds` plays the
+trials ``[0, cap)`` in rounds that end on the plan's checkpoints, and
+:func:`run_plan` evaluates the stop rule after each round.
 
-``python``
-    The reference engine: per-trial game loop, with the batched
-    oblivious fast path enabled per ``plan.batch`` and trials sharded
-    across ``plan.workers`` processes. Bit-identical at any split.
-``batched``
-    The python RNG universe with the batched set-operation path forced
-    on regardless of ``plan.batch`` — bit-identical to ``python``
-    (batching is a pure go-faster knob), listed separately so callers
-    can pin the fast path explicitly.
-``numpy``
-    The vectorized kernels of :mod:`repro.simulation.vectorized`:
-    whole rounds of oblivious trials as array operations, same
-    split-invariance, but a *separate RNG universe* from the python
-    pair. Workloads the kernels cannot express — and hosts without
-    NumPy (once-per-process warning) — degrade to the python path.
+The two engines share this loop and differ only in the trial kind
+they hand to :func:`~repro.simulation.batch.count_range`: ``python``
+(the ``generate_batch`` fast path or the game loop) or ``numpy`` (the
+vectorized kernels, a separate RNG universe). On a host without NumPy
+the ``numpy`` engine runs the python kind after a once-per-process
+warning.
 
-All three delegate range counting to
-:func:`repro.simulation.batch.count_range`, whose per-trial purity is
-what lets the plan layer promise split-invariant estimates. A new
-backend only needs :meth:`Engine.run_rounds` yielding partition-pure
-:class:`RoundResult` chunks and a ``register_engine`` call.
+With ``workers`` > 1 one process pool serves every round of a run.
+The factories are checked for picklability once, when the pool would
+be created; factories that do not pickle run serially after a
+warning. Both warnings point at the first caller outside
+:mod:`repro.simulation` — the line that called ``estimate_*`` or
+:func:`run_plan`.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterator
+from typing import Iterator, Optional
 
-from repro.simulation.batch import (
-    _pickle_obstacle,
-    _warn_unpicklable,
-    count_range,
-    resolve_workers,
-)
-from repro.simulation.plan import (
-    Engine,
-    RoundResult,
-    SimulationPlan,
-    TrialTask,
-    register_engine,
-)
+from repro.errors import ConfigurationError
+from repro.simulation import vectorized
+from repro.simulation.batch import count_range, resolve_workers
+from repro.simulation.plan import RoundResult, SimulationPlan, TrialTask
+from repro.simulation.stats import Estimate, wilson_interval
+
+#: Frames from this directory are skipped when attributing a warning.
+_PACKAGE_DIR = os.path.dirname(__file__)
+
+#: Fires the numpy-missing fallback warning once per process instead of
+#: once per estimate (experiment sweeps made it deafening).
+_numpy_fallback_warned = False
 
 
-class _RangeEngine(Engine):
-    """Shared round-slicing logic over :func:`count_range` backends."""
+def _caller_stacklevel() -> int:
+    """The ``warnings`` stacklevel of the first frame outside the package,
+    counted from the function that calls this one."""
+    level = 1
+    frame = sys._getframe(1)
+    while (
+        frame.f_back is not None
+        and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR
+    ):
+        frame = frame.f_back
+        level += 1
+    return level
 
-    #: Trial-block kind handed to ``count_range``.
-    kind: str = "python"
-    #: ``None`` defers to ``plan.batch``; a bool forces the fast path.
-    force_batch = None
 
-    def _slices(
-        self, plan: SimulationPlan, start: int, stop: int
-    ) -> "list[tuple[int, int]]":
-        """Round boundaries: checkpoint-aligned, then ``round_size``-cut.
-
-        Aligning rounds to ``plan.checkpoints(stop)`` is what lets the
-        :func:`~repro.simulation.plan.run_plan` driver evaluate its
-        stop rule mid-stream; sub-slicing by ``round_size`` is pure
-        execution granularity. Neither changes any count.
-        """
-        boundaries = [
-            c for c in plan.checkpoints(stop) if start < c <= stop
-        ]
-        if not boundaries or boundaries[-1] != stop:
-            boundaries.append(stop)
-        slices = []
-        low = start
-        for boundary in boundaries:
-            size = plan.round_size or max(1, boundary - low)
-            while low < boundary:
-                high = min(boundary, low + size)
-                slices.append((low, high))
-                low = high
-        return slices
-
-    def run_rounds(
-        self,
-        plan: SimulationPlan,
-        task: TrialTask,
-        seed: int,
-        start: int,
-        stop: int,
-    ) -> Iterator[RoundResult]:
-        if stop <= start:
-            return
-        batch = plan.batch if self.force_batch is None else self.force_batch
-        slices = self._slices(plan, start, stop)
-        # One worker pool and one picklability probe for the whole
-        # call: neither small round sizes nor adaptive checkpoints may
-        # pay a process-spawn (or a pickle round-trip, or a repeated
-        # warning) per round. The estimate is unchanged either way —
-        # pooling is pure execution detail. The pool is created even
-        # for a single slice so count_range never re-probes.
-        workers = min(resolve_workers(plan.workers), stop - start)
-        plan_workers = plan.workers
-        obstacle = (
-            _pickle_obstacle(task.factory, task.adversary_factory)
-            if workers > 1
-            else None
+def _engine_kind(engine: str) -> str:
+    """The trial kind ``engine`` runs as on this host."""
+    global _numpy_fallback_warned
+    if engine != "numpy" or vectorized.numpy_available():
+        return engine
+    if not _numpy_fallback_warned:
+        _numpy_fallback_warned = True
+        warnings.warn(
+            "NumPy is not installed; engine='numpy' falling back to "
+            "the python engine (estimates will match engine='python', "
+            "not a NumPy-equipped host; this warning fires once per "
+            "process)",
+            RuntimeWarning,
+            stacklevel=_caller_stacklevel(),
         )
-        if obstacle is not None:
-            _warn_unpicklable(obstacle, stacklevel=2)
-            workers = 1
-            plan_workers = None
-        executor = None
-        if workers > 1:
-            executor = ProcessPoolExecutor(max_workers=workers)
-        try:
-            for low, high in slices:
-                collisions = count_range(
-                    task.factory,
-                    task.m,
-                    task.adversary_factory,
-                    seed,
-                    low,
-                    high,
-                    stop_on_collision=task.stop_on_collision,
-                    max_steps=task.max_steps,
-                    workers=plan_workers,
-                    batch=batch,
-                    engine=self.kind,
-                    executor=executor,
+    return "python"
+
+
+def _pool_size(task: TrialTask, workers: int) -> int:
+    """``workers``, or 1 (with a warning) if the factories do not pickle."""
+    if workers <= 1:
+        return 1
+    try:
+        pickle.dumps((task.factory, task.adversary_factory))
+    except (pickle.PicklingError, TypeError, AttributeError, ValueError) as exc:
+        # The documented failure modes of pickle.dumps: closures and
+        # local classes (PicklingError/AttributeError), unsupported
+        # types (TypeError), recursive/invalid state (ValueError).
+        warnings.warn(
+            f"factories are not picklable ({type(exc).__name__}: {exc}); "
+            "running trials serially (use SpecFactory / ObliviousFactory "
+            "/ AttackFactory for cross-process execution)",
+            RuntimeWarning,
+            stacklevel=_caller_stacklevel(),
+        )
+        return 1
+    return workers
+
+
+def run_rounds(
+    plan: SimulationPlan, task: TrialTask, seed: int, cap: int
+) -> Iterator[RoundResult]:
+    """Play trials ``[0, cap)`` in rounds that end on the plan's checkpoints.
+
+    Each round is one :func:`count_range` call. Closing the generator
+    early shuts the worker pool down.
+    """
+    kind = _engine_kind(plan.engine)
+    workers = _pool_size(task, min(resolve_workers(plan.workers), cap))
+    executor = ProcessPoolExecutor(workers) if workers > 1 else None
+    try:
+        start = 0
+        for stop in plan.checkpoints(cap):
+            collisions = count_range(
+                task.factory,
+                task.m,
+                task.adversary_factory,
+                seed,
+                start,
+                stop,
+                stop_on_collision=task.stop_on_collision,
+                max_steps=task.max_steps,
+                kind=kind,
+                executor=executor,
+                workers=workers,
+            )
+            yield RoundResult(start, stop, collisions)
+            start = stop
+    finally:
+        if executor is not None:
+            executor.shutdown()
+
+
+def run_plan(
+    plan: SimulationPlan,
+    task: TrialTask,
+    seed: Optional[int] = None,
+    trials: Optional[int] = None,
+    confidence: Optional[float] = None,
+) -> Estimate:
+    """Execute ``task`` under ``plan`` and return the estimate.
+
+    ``seed``, ``trials`` (cap) and ``confidence`` default to the
+    plan's own fields; call sites that sweep seeds or budgets pass
+    them explicitly without rebuilding plans.
+
+    Fixed mode runs exactly the cap. Adaptive mode evaluates the
+    Wilson interval after every round — each ends on a checkpoint of
+    the plan's schedule — and stops at the first one whose half-width
+    is ≤ ``plan.target_halfwidth`` (or at the cap). Either way the
+    result is bit-identical for any ``workers`` — see
+    :mod:`repro.simulation.plan` for why.
+
+    Statistical caveat: the returned CI is the ordinary Wilson
+    interval at the stopped ``n`` with no sequential correction, so
+    under adaptive stopping its realized coverage sits a little below
+    the nominal ``confidence`` (optional-stopping bias over the ≤
+    ``log_growth(cap/min_trials)`` looks). The experiments' straddle
+    checks carry explicit slack for exactly this reason.
+
+    Rounds must tile ``[0, cap)`` contiguously in index order with
+    sane collision counts; a violation raises
+    :class:`ConfigurationError` instead of corrupting the estimate.
+    """
+    root = plan.seed if seed is None else seed
+    level = plan.confidence if confidence is None else confidence
+    cap = plan.resolve_cap(trials)
+    collisions = covered = 0
+    rounds = run_rounds(plan, task, root, cap)
+    try:
+        for round_result in rounds:
+            if (
+                round_result.start != covered
+                or round_result.stop <= round_result.start
+                or round_result.stop > cap
+                or not 0 <= round_result.collisions <= round_result.trials
+            ):
+                raise ConfigurationError(
+                    f"engine {plan.engine!r} yielded an invalid round "
+                    f"{round_result!r} at covered={covered}, cap={cap}: "
+                    "rounds must tile [0, cap) contiguously with "
+                    "0 <= collisions <= trials"
                 )
-                yield RoundResult(low, high, collisions)
-        finally:
-            if executor is not None:
-                executor.shutdown()
+            covered = round_result.stop
+            collisions += round_result.collisions
+            low, high = wilson_interval(collisions, covered, level)
+            if (
+                plan.target_halfwidth is not None
+                and (high - low) / 2.0 <= plan.target_halfwidth
+            ):
+                break
+        else:
+            if covered != cap:
+                raise ConfigurationError(
+                    f"engine {plan.engine!r} covered only [0, {covered}) "
+                    f"of the requested [0, {cap}); rounds must span the "
+                    "whole range"
+                )
+    finally:
+        rounds.close()
+    return Estimate(
+        probability=collisions / covered,
+        trials=covered,
+        successes=collisions,
+        ci_low=low,
+        ci_high=high,
+        confidence=level,
+    )
 
 
-class PythonEngine(_RangeEngine):
-    """Per-trial game loop (optionally batched) — the reference engine."""
-
-    name = "python"
-    kind = "python"
-
-
-class BatchedEngine(_RangeEngine):
-    """Python universe with the batched oblivious fast path pinned on."""
-
-    name = "batched"
-    kind = "python"
-    force_batch = True
-
-
-class NumpyEngine(_RangeEngine):
-    """Vectorized NumPy kernels; python fallback outside their regime."""
-
-    name = "numpy"
-    kind = "numpy"
-
-
-PYTHON_ENGINE = register_engine(PythonEngine())
-BATCHED_ENGINE = register_engine(BatchedEngine())
-NUMPY_ENGINE = register_engine(NumpyEngine())
-
-__all__ = [
-    "PythonEngine",
-    "BatchedEngine",
-    "NumpyEngine",
-    "PYTHON_ENGINE",
-    "BATCHED_ENGINE",
-    "NUMPY_ENGINE",
-]
+__all__ = ["run_plan", "run_rounds"]

@@ -6,12 +6,10 @@ games. Estimates carry Wilson-score confidence intervals, which behave
 sensibly at the extreme frequencies (0 or all collisions) these
 experiments regularly produce.
 
-This module is a thin façade over the estimation seam of
-:mod:`repro.simulation.plan`: *how* trials execute — which engine
-(python game loop, batched set ops, NumPy kernels), how many worker
-processes, what precision to stop at — is described by one frozen
-:class:`~repro.simulation.plan.SimulationPlan` instead of loose
-keyword arguments:
+This module is a thin façade over :func:`repro.simulation.engines.run_plan`:
+*how* trials execute — which engine (``python`` or ``numpy``), how
+many worker processes, what precision to stop at — is described by one
+frozen :class:`~repro.simulation.plan.SimulationPlan`:
 
     plan = SimulationPlan(engine="numpy", workers=0,
                           target_halfwidth=0.01)
@@ -20,15 +18,10 @@ keyword arguments:
 
 With ``target_halfwidth`` set, sampling stops at the first checkpoint
 whose Wilson half-width is small enough (``trials`` then acts as the
-cap); without it, exactly ``trials`` games run — matching the historic
-behaviour bit for bit. Either way the estimate is identical for any
-``workers=``/round split of the same plan; only switching to the
-``numpy`` engine changes the RNG universe (same distribution,
-different noise).
-
-The pre-plan keyword arguments ``workers=``, ``batch=`` and
-``engine=`` still work but emit a :class:`DeprecationWarning`; they
-will be removed one release after the plan API landed.
+cap); without it, exactly ``trials`` games run. Either way the
+estimate is identical for any ``workers=`` count of the same plan;
+only switching to the ``numpy`` engine changes the RNG universe (same
+distribution, different noise).
 """
 
 from __future__ import annotations
@@ -38,19 +31,10 @@ from typing import Callable, Optional
 
 from repro.adversary.base import Adversary
 from repro.adversary.profiles import DemandProfile
-from repro.simulation.batch import (
-    ObliviousFactory,
-    _pickle_obstacle,
-    _warn_unpicklable,
-    resolve_workers,
-)
+from repro.simulation.batch import ObliviousFactory
+from repro.simulation.engines import run_plan
 from repro.simulation.game import InstanceFactory
-from repro.simulation.plan import (
-    SimulationPlan,
-    TrialTask,
-    fold_legacy_kwargs,
-    run_plan,
-)
+from repro.simulation.plan import SimulationPlan, TrialTask
 from repro.simulation.stats import (  # noqa: F401 - re-exports
     Estimate,
     _normal_quantile,
@@ -59,42 +43,7 @@ from repro.simulation.stats import (  # noqa: F401 - re-exports
 
 AdversaryFactory = Callable[[random.Random], Adversary]
 
-#: Sentinel distinguishing "not passed" from an explicit value for the
-#: deprecated go-faster kwargs.
-_UNSET = object()
-
 _DEFAULT_PLAN = SimulationPlan()
-
-
-def _effective_plan(
-    plan: Optional[SimulationPlan],
-    workers: object,
-    batch: object,
-    engine: object,
-    stacklevel: int = 3,
-) -> SimulationPlan:
-    """Fold the deprecated kwargs into a plan, warning when they appear.
-
-    ``stacklevel`` must point the warning at the *user's* call site.
-    The default fits a direct caller of the public ``estimate_*``
-    functions; a wrapper either passes one more frame per layer of
-    indirection or — like :func:`estimate_profile_collision` — folds
-    the kwargs itself and hands its delegate a finished ``plan``.
-    """
-    base = _DEFAULT_PLAN if plan is None else plan
-    overrides = {}
-    if workers is not _UNSET:
-        overrides["workers"] = workers
-    if batch is not _UNSET:
-        overrides["batch"] = batch
-    if engine is not _UNSET:
-        overrides["engine"] = engine
-    return fold_legacy_kwargs(
-        base,
-        overrides,
-        "the workers=/batch=/engine= keyword argument form",
-        stacklevel=stacklevel,
-    )
 
 
 def estimate_collision_probability(
@@ -106,11 +55,7 @@ def estimate_collision_probability(
     confidence: Optional[float] = None,
     stop_on_collision: bool = True,
     max_steps: Optional[int] = None,
-    workers: object = _UNSET,
-    batch: object = _UNSET,
-    engine: object = _UNSET,
     plan: Optional[SimulationPlan] = None,
-    _stacklevel: int = 3,
 ) -> Estimate:
     """Play seeded games under ``plan``; return the collision frequency.
 
@@ -120,27 +65,9 @@ def estimate_collision_probability(
     ``target_halfwidth`` stops earlier once the Wilson CI is tight
     enough, while the default fixed-mode plan runs the cap exactly.
 
-    Execution (engine choice, worker processes, batching, round size)
-    belongs to the plan — see :class:`SimulationPlan`. The deprecated
-    ``workers=``/``batch=``/``engine=`` keywords still fold into the
-    plan with a :class:`DeprecationWarning`.
+    Execution (engine choice, worker processes) belongs to the plan —
+    see :class:`SimulationPlan`.
     """
-    effective = _effective_plan(
-        plan, workers, batch, engine, stacklevel=_stacklevel
-    )
-    # Downgrade unpicklable-factory plans here, where the warning can
-    # still point at the caller's line (inside the engine it would
-    # attribute to plan-layer internals). The engine re-probes once for
-    # its own direct callers, but a downgraded plan (workers=None) is
-    # never probed again, so the warning fires exactly once.
-    obstacle = (
-        _pickle_obstacle(factory, adversary_factory)
-        if resolve_workers(effective.workers) > 1
-        else None
-    )
-    if obstacle is not None:
-        _warn_unpicklable(obstacle, stacklevel=_stacklevel)
-        effective = effective.evolve(workers=None)
     task = TrialTask(
         factory=factory,
         m=m,
@@ -149,7 +76,11 @@ def estimate_collision_probability(
         max_steps=max_steps,
     )
     return run_plan(
-        effective, task, seed=seed, trials=trials, confidence=confidence
+        _DEFAULT_PLAN if plan is None else plan,
+        task,
+        seed=seed,
+        trials=trials,
+        confidence=confidence,
     )
 
 
@@ -160,16 +91,13 @@ def estimate_profile_collision(
     trials: Optional[int] = None,
     seed: Optional[int] = None,
     confidence: Optional[float] = None,
-    workers: object = _UNSET,
-    batch: object = _UNSET,
-    engine: object = _UNSET,
     plan: Optional[SimulationPlan] = None,
 ) -> Estimate:
     """Estimate ``p_A(D)`` for an oblivious profile ``D``.
 
-    Oblivious sequential games admit every fast path: the batched
-    ``generate_batch`` trial (on by default, bit-identical to the game
-    loop) and the vectorized kernels of ``plan.engine = "numpy"``. See
+    Oblivious sequential games admit every fast path: the
+    ``generate_batch`` trial (bit-identical to the game loop) and the
+    vectorized kernels of ``plan.engine = "numpy"``. See
     :func:`estimate_collision_probability` for the plan and
     reproducibility semantics.
     """
@@ -181,10 +109,5 @@ def estimate_profile_collision(
         seed=seed,
         confidence=confidence,
         stop_on_collision=False,
-        workers=workers,
-        batch=batch,
-        engine=engine,
         plan=plan,
-        # one wrapper frame between the user and the delegate's warnings
-        _stacklevel=4,
     )

@@ -405,7 +405,6 @@ class VectorPlan:
                 seed,
                 int(trial_indices[row]),
                 stop_on_collision=False,
-                batch=True,
             )
         return collided
 

@@ -598,14 +598,12 @@ def cluster_target_factory(
     replication_factor: int = 1,
     read_quorum: Optional[int] = None,
     write_quorum: Optional[int] = None,
-    routing: str = "ring",
     durable: bool = False,
 ) -> TargetFactory:
     """Each shard drives a private :class:`ClusterSimulator` fleet.
 
     ``replication_factor``/``read_quorum``/``write_quorum`` configure
     quorum replication (defaults: single-copy, majority quorums);
-    ``routing`` selects ring (default) or the legacy modulo shim;
     ``durable=True`` gives every node fault-injecting storage so chaos
     schedules may use ``mode="crash"`` kills.
     """
@@ -619,7 +617,6 @@ def cluster_target_factory(
             replication_factor=replication_factor,
             read_quorum=read_quorum,
             write_quorum=write_quorum,
-            routing=routing,
             durable=durable,
         )
 

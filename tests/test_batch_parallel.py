@@ -4,8 +4,11 @@ Three guarantees are under test:
 
 * **Determinism** — ``estimate_collision_probability`` under a
   ``SimulationPlan(workers=N)`` returns a bit-identical
-  :class:`Estimate` for every ``N`` (and for ``batch=True``/``False``),
-  because trial outcomes depend only on the root seed and trial index.
+  :class:`Estimate` for every ``N``, and the ``generate_batch`` fast
+  path matches the game loop, because trial outcomes depend only on
+  the root seed and trial index. The game loop is reached through
+  ``functools.partial(ObliviousAdversary, profile, "sequential")``,
+  an adversary factory the fast path does not admit.
 * **Batch equivalence** — ``generate_batch`` emits exactly the IDs
   repeated ``next_id`` calls would, for every registered algorithm,
   under any chunking.
@@ -14,12 +17,14 @@ Three guarantees are under test:
   exhausted state afterwards.
 """
 
+import functools
 import pickle
 import random
 
 import pytest
 
 from repro.adversary.attacks import ClosestPairAttack
+from repro.adversary.base import ObliviousAdversary
 from repro.adversary.profiles import DemandProfile
 from repro.core.bins_star import BinsStarGenerator
 from repro.core.registry import make_generator
@@ -30,7 +35,6 @@ from repro.simulation.batch import (
     SpecFactory,
     play_trial,
     resolve_workers,
-    run_trials,
 )
 from repro.simulation.montecarlo import (
     estimate_collision_probability,
@@ -41,6 +45,13 @@ from repro.simulation.plan import SimulationPlan
 #: One spec per registered algorithm family (parameterized ones get
 #: concrete arguments).
 ALL_SPECS = ["random", "cluster", "bins:7", "cluster_star", "bins_star", "skew:4:9"]
+
+
+def game_loop_adversary(profile):
+    """An oblivious sequential adversary factory that the
+    ``generate_batch`` fast path does not admit, so trials built from
+    it play the game loop."""
+    return functools.partial(ObliviousAdversary, profile, "sequential")
 
 
 class TestGenerateBatchEquivalence:
@@ -109,20 +120,23 @@ class TestExhaustionMidBatch:
         assert batched.generate_batch(10_000) == reference
 
     def test_trial_stops_at_exhaustion_like_the_game(self):
-        # Demand far beyond capacity: batched and game-loop trials must
-        # agree on the collision outcome trial by trial.
-        profile = DemandProfile.of(60, 60, 60)
-        factory = SpecFactory("bins_star")
-        for trial in range(20):
-            loop = play_trial(
-                factory, 64, ObliviousFactory(profile), 11, trial,
-                stop_on_collision=False, batch=False,
-            )
-            fast = play_trial(
-                factory, 64, ObliviousFactory(profile), 11, trial,
-                stop_on_collision=False, batch=True,
-            )
-            assert loop == fast
+        # For every algorithm, fast-path and game-loop trials must agree
+        # on the collision outcome trial by trial, whether the demand
+        # exhausts m = 64 mid-batch or fits.
+        for spec in ALL_SPECS:
+            factory = SpecFactory(spec)
+            for demands in ((60, 60, 60), (12, 9, 6)):
+                profile = DemandProfile(demands)
+                for trial in range(40):
+                    loop = play_trial(
+                        factory, 64, game_loop_adversary(profile), 11,
+                        trial, stop_on_collision=False,
+                    )
+                    fast = play_trial(
+                        factory, 64, ObliviousFactory(profile), 11,
+                        trial, stop_on_collision=False,
+                    )
+                    assert loop == fast, (spec, demands, trial)
 
 
 class TestParallelDeterminism:
@@ -131,12 +145,15 @@ class TestParallelDeterminism:
         profile = DemandProfile.of(48, 24, 12, 6)
         m = 1 << 14
         estimates = [
-            estimate_profile_collision(
-                SpecFactory(spec), m, profile, trials=120, seed=17,
-                plan=SimulationPlan(workers=workers, batch=batch),
+            estimate_collision_probability(
+                SpecFactory(spec), m, adversary, trials=120, seed=17,
+                stop_on_collision=False,
+                plan=SimulationPlan(workers=workers),
             )
             for workers in (1, 2, 8)
-            for batch in (False, True)
+            for adversary in (
+                game_loop_adversary(profile), ObliviousFactory(profile)
+            )
         ]
         assert all(e == estimates[0] for e in estimates)
         # and sanity: some collisions at this density, deterministically
@@ -158,10 +175,10 @@ class TestParallelDeterminism:
         # The picklable shims must not change what gets estimated.
         profile = DemandProfile.of(32, 16)
         m = 1 << 12
-        legacy = estimate_profile_collision(
+        legacy = estimate_collision_probability(
             lambda mm, rr: make_generator("cluster", mm, rr),
-            m, profile, trials=150, seed=9,
-            plan=SimulationPlan(batch=False),
+            m, game_loop_adversary(profile), trials=150, seed=9,
+            stop_on_collision=False,
         )
         shimmed = estimate_profile_collision(
             SpecFactory("cluster"), m, profile,
@@ -171,19 +188,14 @@ class TestParallelDeterminism:
 
     def test_unpicklable_factory_falls_back_with_warning(self):
         profile = DemandProfile.of(8, 8)
-        with pytest.warns(RuntimeWarning, match="picklable"):
+        with pytest.warns(RuntimeWarning, match="picklable") as caught:
             estimate_profile_collision(
                 lambda mm, rr: make_generator("cluster", mm, rr),
                 1 << 12, profile, trials=10, seed=1,
                 plan=SimulationPlan(workers=2),
             )
-
-    def test_run_trials_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_trials(
-                SpecFactory("cluster"), 64,
-                ObliviousFactory(DemandProfile.of(1, 1)), trials=0,
-            )
+        # the warning points at the line that called estimate_*
+        assert [w.filename for w in caught] == [__file__]
 
     def test_resolve_workers(self):
         assert resolve_workers(None) == 1

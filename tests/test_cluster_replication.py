@@ -296,25 +296,6 @@ class TestQuorumReplication:
         owner.delete(key)  # node-level MiniRocks tombstone
         assert key not in dict(sim.scan(b"k")), "deleted key resurrected"
 
-    def test_modulo_routing_is_a_single_copy_shim(self):
-        import zlib
-
-        sim = ClusterSimulator(4, small_options, seed=11, routing="modulo")
-        for index in range(50):
-            key = f"k{index:04d}".encode()
-            assert (
-                sim.node_for_key(key)
-                is sim.nodes[zlib.crc32(key) % 4]
-            )
-        sim.put(b"k", b"v")
-        assert sim.get(b"k") == b"v"
-        with pytest.raises(ConfigurationError):
-            ClusterSimulator(
-                4, small_options, routing="modulo", replication_factor=2
-            )
-        with pytest.raises(ConfigurationError):
-            ClusterSimulator(4, small_options, routing="hash-ring-typo")
-
     def test_quorum_validation(self):
         with pytest.raises(ConfigurationError):
             ClusterSimulator(3, small_options, replication_factor=4)

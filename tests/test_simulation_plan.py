@@ -4,50 +4,49 @@ Four guarantees are under test:
 
 * **Split invariance** — for a fixed plan the estimate (including the
   adaptive stopping point) is bit-identical across ``workers=``
-  counts, ``round_size`` choices, and the batched fast path, on both
-  RNG universes (python/batched and numpy).
+  counts and against the game loop, on both RNG universes (python and
+  numpy).
 * **Adaptive precision** — with ``target_halfwidth`` set, sampling
   stops at the first Wilson checkpoint at or under the target
   (validated against analytically known probabilities from
   :mod:`repro.analysis.exact`), and an unreachable target runs the cap
   exactly while still returning a valid Wilson interval.
-* **Registry** — the three built-in engines self-register, unknown
-  names fail with the known ones listed, and third-party engines can
-  register.
-* **Deprecated shims** — the pre-plan ``workers=``/``batch=``/
-  ``engine=`` kwargs and ``ExperimentConfig(workers=, engine=)`` fold
-  into plans with a :class:`DeprecationWarning` and unchanged results,
-  and the numpy-missing fallback warning fires once per process.
+* **Closed engine set** — ``python`` and ``numpy`` are the only
+  engine names (:data:`ENGINES`), unknown names fail with both listed,
+  and :func:`run_plan` rejects rounds that do not tile the trial range.
+* **No shims** — the pre-plan ``workers=``/``batch=``/``engine=``
+  kwargs and ``ExperimentConfig(workers=, engine=)`` are gone, and the
+  numpy-missing fallback warning fires once per process, pointing at
+  the caller's line.
 
 All tests here carry the ``plan`` marker (CI's dedicated fast lane).
 """
 
+import functools
 import warnings
 
 import pytest
 
 from repro.adversary.attacks import ClosestPairAttack
+from repro.adversary.base import ObliviousAdversary
 from repro.adversary.profiles import DemandProfile
 from repro.analysis.exact import cluster_collision_probability
 from repro.errors import ConfigurationError
 from repro.experiments.framework import ExperimentConfig
 from repro.simulation import batch as batch_module
+from repro.simulation import engines as engines_module
 from repro.simulation import vectorized
 from repro.simulation.batch import AttackFactory, ObliviousFactory, SpecFactory
+from repro.simulation.engines import run_plan
 from repro.simulation.montecarlo import (
     estimate_collision_probability,
     estimate_profile_collision,
 )
 from repro.simulation.plan import (
-    Engine,
-    EngineRegistry,
+    ENGINES,
     RoundResult,
     SimulationPlan,
     TrialTask,
-    available_engines,
-    get_engine,
-    iter_rounds,
-    run_plan,
 )
 from repro.simulation.stats import wilson_interval
 
@@ -75,25 +74,24 @@ class TestSplitInvariance:
             pytest.skip("NumPy not installed")
         base = SimulationPlan(engine=engine, target_halfwidth=0.02)
         estimates = [
-            _estimate(base.evolve(workers=workers, round_size=round_size))
+            _estimate(base.evolve(workers=workers))
             for workers in (None, 2, 3)
-            for round_size in (None, 7, 64, 1000)
         ]
         assert all(e == estimates[0] for e in estimates)
-        # the plan stopped early, so the invariance covered >1 checkpoint
+        # the plan stopped early, so the invariance covered >1 round
         assert estimates[0].trials < 2000
 
     def test_adaptive_identical_across_batch_modes(self):
+        """The generate_batch fast path and the game loop agree; the
+        game loop is reached through an adversary factory the fast path
+        does not admit."""
         plan = SimulationPlan(target_halfwidth=0.02)
-        assert _estimate(plan) == _estimate(plan.evolve(batch=False))
-
-    def test_batched_engine_bit_identical_to_python(self):
-        fixed = SimulationPlan()
-        assert _estimate(fixed) == _estimate(fixed.evolve(engine="batched"))
-        adaptive = fixed.evolve(target_halfwidth=0.02)
-        assert _estimate(adaptive) == _estimate(
-            adaptive.evolve(engine="batched")
+        game_loop = estimate_collision_probability(
+            SpecFactory("cluster"), M,
+            functools.partial(ObliviousAdversary, PROFILE, "sequential"),
+            trials=2000, seed=17, stop_on_collision=False, plan=plan,
         )
+        assert _estimate(plan) == game_loop
 
     def test_adaptive_attack_workload_identical_across_workers(self):
         plan = SimulationPlan(target_halfwidth=0.05)
@@ -180,7 +178,6 @@ class TestAdaptiveStopping:
         for bad in (
             dict(engine=""),
             dict(workers=-1),
-            dict(round_size=0),
             dict(confidence=1.0),
             dict(target_halfwidth=0.0),
             dict(target_halfwidth=1.5),
@@ -191,164 +188,67 @@ class TestAdaptiveStopping:
             with pytest.raises(ConfigurationError):
                 SimulationPlan(**bad)
 
-    def test_iter_rounds_streams_the_full_cap(self):
-        plan = SimulationPlan(round_size=64, target_halfwidth=0.01)
-        task = TrialTask(
-            factory=SpecFactory("cluster"),
-            m=M,
-            adversary_factory=ObliviousFactory(PROFILE),
-            stop_on_collision=False,
-        )
-        rounds = list(iter_rounds(plan, task, seed=17, trials=300))
-        assert [r.start for r in rounds] == [0, 64, 128, 192, 256]
-        assert rounds[-1].stop == 300
-        assert sum(r.trials for r in rounds) == 300
-        fixed = _estimate(SimulationPlan(), trials=300)
-        assert sum(r.collisions for r in rounds) == fixed.successes
-
 
 # ---------------------------------------------------------------------------
-# Engine registry
+# The two engines
 # ---------------------------------------------------------------------------
 
 
-class TestEngineRegistry:
-    def test_builtin_engines_registered(self):
-        names = available_engines()
-        for name in ("python", "batched", "numpy"):
-            assert name in names
-            assert get_engine(name).name == name
+class TestEngines:
+    def test_exactly_two_engines(self):
+        assert ENGINES == ("python", "numpy")
+        for name in ENGINES:
+            assert SimulationPlan(engine=name).engine == name
 
     def test_unknown_engine_lists_known_names(self):
-        with pytest.raises(ConfigurationError, match="python"):
-            get_engine("turbo")
-        with pytest.raises(ConfigurationError):
-            run_plan(
-                SimulationPlan(engine="turbo"),
-                TrialTask(
-                    factory=SpecFactory("cluster"),
-                    m=M,
-                    adversary_factory=ObliviousFactory(PROFILE),
-                ),
-                trials=10,
-            )
-
-    def test_third_party_engine_pluggable(self):
-        class ConstantEngine(Engine):
-            name = "constant"
-
-            def run_rounds(self, plan, task, seed, start, stop):
-                yield RoundResult(start, stop, 0)
-
-        registry = EngineRegistry()
-        registry.register(ConstantEngine())
-        assert "constant" in registry.names()
-        assert registry.get("constant").name == "constant"
-
-    def test_registered_engine_executes_through_its_own_run_rounds(
-        self, monkeypatch
-    ):
-        """A third-party engine must actually run — never silently fall
-        back to the python loop with wrong-universe counts."""
-        from repro.simulation import plan as plan_module
-
-        class EveryTrialCollides(Engine):
-            name = "always"
-
-            def run_rounds(self, plan, task, seed, start, stop):
-                yield RoundResult(start, stop, stop - start)
-
-        monkeypatch.setattr(plan_module, "REGISTRY", EngineRegistry())
-        plan_module.register_engine(EveryTrialCollides())
-        estimate = _estimate(SimulationPlan(engine="always"), trials=50)
-        assert estimate.successes == 50
-        assert (
-            batch_module.run_trials(
-                SpecFactory("cluster"), M, ObliviousFactory(PROFILE),
-                trials=30, engine="always",
-            )
-            == 30
-        )
+        with pytest.raises(ConfigurationError, match="python, numpy"):
+            SimulationPlan(engine="turbo")
 
     def test_misaligned_engine_rounds_rejected(self, monkeypatch):
         """Rounds that do not tile [0, cap) must fail loudly, never
         silently inflate the estimate (successes > trials)."""
-        from repro.simulation import plan as plan_module
 
-        class Straddling(Engine):
-            name = "straddling"
+        def straddling(plan, task, seed, cap):
+            yield RoundResult(0, 128, 10)
+            yield RoundResult(128, cap + 8, 300)
 
-            def run_rounds(self, plan, task, seed, start, stop):
-                yield RoundResult(0, 128, 10)
-                yield RoundResult(128, stop + 8, 300)
+        def under_covering(plan, task, seed, cap):
+            yield RoundResult(0, 128, 10)
 
-        class UnderCovering(Engine):
-            name = "under"
-
-            def run_rounds(self, plan, task, seed, start, stop):
-                yield RoundResult(0, 128, 10)
-
-        monkeypatch.setattr(plan_module, "REGISTRY", EngineRegistry())
-        plan_module.register_engine(Straddling())
-        plan_module.register_engine(UnderCovering())
         task = TrialTask(
             factory=SpecFactory("cluster"),
             m=M,
             adversary_factory=ObliviousFactory(PROFILE),
         )
+        monkeypatch.setattr(engines_module, "run_rounds", straddling)
         with pytest.raises(ConfigurationError, match="tile"):
-            run_plan(SimulationPlan(engine="straddling"), task, trials=512)
+            run_plan(SimulationPlan(), task, trials=512)
+        monkeypatch.setattr(engines_module, "run_rounds", under_covering)
         with pytest.raises(ConfigurationError, match="covered only"):
-            run_plan(SimulationPlan(engine="under"), task, trials=512)
+            run_plan(SimulationPlan(), task, trials=512)
 
     def test_count_range_rejects_unknown_engine_kinds(self):
-        with pytest.raises(ConfigurationError, match="run_rounds"):
+        with pytest.raises(ConfigurationError, match="python, numpy"):
             batch_module.count_range(
                 SpecFactory("cluster"), M, ObliviousFactory(PROFILE),
-                0, 0, 10, engine="numpyy",
+                0, 0, 10, kind="numpyy",
             )
-
-    def test_nameless_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EngineRegistry().register(Engine())
 
 
 # ---------------------------------------------------------------------------
-# Deprecated shims and warning hygiene
+# The removed pre-plan shims and warning hygiene
 # ---------------------------------------------------------------------------
 
 
 class TestDeprecatedShims:
-    def test_kwargs_warn_and_match_plan_results(self):
-        with pytest.warns(DeprecationWarning, match="SimulationPlan"):
-            legacy = estimate_profile_collision(
-                SpecFactory("cluster"), M, PROFILE,
-                trials=200, seed=17, workers=2,
-            )
-        assert legacy == _estimate(SimulationPlan(workers=2), trials=200)
-
-    def test_engine_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="engine"):
-            estimate_profile_collision(
-                SpecFactory("cluster"), M, PROFILE,
-                trials=100, seed=1, engine="python",
-            )
-
-    def test_batch_kwarg_warns_on_adaptive_path_too(self):
-        with pytest.warns(DeprecationWarning, match="batch"):
-            estimate_collision_probability(
-                SpecFactory("cluster"), M,
-                ObliviousFactory(PROFILE),
-                trials=100, seed=1, stop_on_collision=False, batch=True,
-            )
-
-    def test_experiment_config_shim_folds_into_plan(self):
-        with pytest.warns(DeprecationWarning, match="SimulationPlan"):
-            config = ExperimentConfig(workers=3, engine="numpy")
-        assert config.plan.workers == 3
-        assert config.plan.engine == "numpy"
-        clean = ExperimentConfig(plan=SimulationPlan(workers=3))
-        assert clean.plan.workers == 3
+    def test_pre_plan_kwargs_are_gone(self):
+        for legacy in (dict(workers=2), dict(batch=True), dict(engine="numpy")):
+            with pytest.raises(TypeError):
+                estimate_profile_collision(
+                    SpecFactory("cluster"), M, PROFILE, trials=10, **legacy
+                )
+        with pytest.raises(TypeError):
+            ExperimentConfig(workers=3)
 
     def test_plan_api_emits_no_deprecation_warnings(self):
         with warnings.catch_warnings():
@@ -358,7 +258,7 @@ class TestDeprecatedShims:
 
     def test_numpy_fallback_warns_once_per_process(self, monkeypatch):
         monkeypatch.setattr(vectorized, "_np", None)
-        monkeypatch.setattr(batch_module, "_numpy_fallback_warned", False)
+        monkeypatch.setattr(engines_module, "_numpy_fallback_warned", False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             first = _estimate(SimulationPlan(engine="numpy"), trials=50)
@@ -368,5 +268,7 @@ class TestDeprecatedShims:
         ]
         assert len(runtime) == 1, runtime
         assert "NumPy is not installed" in str(runtime[0].message)
+        # the warning points at the line that called estimate_*
+        assert runtime[0].filename == __file__
         # the fallback really ran the python universe
         assert first == second == _estimate(SimulationPlan(), trials=50)
