@@ -312,13 +312,12 @@ def test_kv_multi_get_batch(benchmark):
     print(f"\nMULTI_GET: {ops:,.0f} keys/s (batch=64)")
 
 
-@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
-def test_kv_reopen_format(benchmark, version):
-    """Reopen cost per SST container format, in entries loaded per sec.
+def test_kv_reopen_format(benchmark):
+    """Reopen cost of a durable store, in entries loaded per second.
 
-    v1 must re-decode every block (bloom rebuilt by re-hashing every
-    key); v2 restores serialized blooms + offset tables and decodes
-    nothing — the rows price exactly the reopen win of the v2 format.
+    Reopening restores each SST's serialized bloom and live-entry count
+    and validates its block offset tables; no record is decoded and no
+    key is re-hashed.
     """
     import random
     from time import perf_counter
@@ -327,17 +326,12 @@ def test_kv_reopen_format(benchmark, version):
     from repro.kvstore.storage import SimulatedStorage
 
     benchmark.extra_info["target"] = "reopen"
-    benchmark.extra_info["workload"] = f"v{version}"
-
-    def versioned_options() -> Options:
-        options = _options()
-        options.sst_format_version = version
-        return options
+    benchmark.extra_info["workload"] = "v2"
 
     storage = SimulatedStorage(seed=BENCH_SEED)
     db = MiniRocks.open(
         storage,
-        options=versioned_options(),
+        options=_options(),
         rng=random.Random(BENCH_SEED),
     )
     records = _scaled(2000, 200)
@@ -353,7 +347,7 @@ def test_kv_reopen_format(benchmark, version):
             start = perf_counter()
             reopened = MiniRocks.open(
                 storage,
-                options=versioned_options(),
+                options=_options(),
                 rng=random.Random(BENCH_SEED + 1),
             )
             latencies.append(perf_counter() - start)
@@ -365,38 +359,7 @@ def test_kv_reopen_format(benchmark, version):
     # Tail latency is per full reopen (manifest + every live SST).
     benchmark.extra_info["p99_us"] = _p99_us(latencies)
     benchmark.extra_info["live_entries"] = live_entries
-    print(f"\nREOPEN[v{version}]: {ops:,.0f} entries/s")
-
-
-def test_kv_format_fingerprint_identity(benchmark):
-    """SST format v1 and v2 stores serve bit-identical workload C.
-
-    Same seed, same durable target, only ``sst_format_version``
-    differs — the driver fingerprint (op+key+outcome CRC) must match,
-    proving the storage format never leaks into returned values.
-    """
-
-    def options_for(version: int):
-        def make() -> Options:
-            options = _options()
-            options.sst_format_version = version
-            return options
-
-        return make
-
-    def run_with(version: int):
-        return WorkloadDriver(
-            store_target_factory(options_for(version), durable=True),
-            _config("c"),
-        ).run()
-
-    v1_result = run_with(1)
-    v2_result = benchmark.pedantic(
-        lambda: run_with(2), rounds=1, iterations=1
-    )
-    assert v1_result.fingerprint == v2_result.fingerprint
-    assert v1_result.op_counts == v2_result.op_counts
-    benchmark.extra_info["fingerprint"] = v2_result.fingerprint
+    print(f"\nREOPEN[v2]: {ops:,.0f} entries/s")
 
 
 def test_kv_driver_worker_determinism(benchmark):

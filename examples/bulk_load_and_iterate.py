@@ -4,14 +4,21 @@
 Shows the storage-engine API surface beyond simple put/get — the parts
 real applications use: external SST ingestion (which mints a fresh
 uncoordinated ID, unlike migration), merging iterators with seek, and
-WAL-based crash recovery.
+crash recovery from the durable write-ahead log.
 
 Run:  python examples/bulk_load_and_iterate.py
 """
 
 import random
 
-from repro.kvstore import MiniRocks, Options, iterate_db, range_count
+from repro.kvstore import (
+    MiniRocks,
+    Options,
+    SimulatedStorage,
+    WriteMode,
+    iterate_db,
+    range_count,
+)
 
 
 def main() -> None:
@@ -53,16 +60,25 @@ def main() -> None:
     )
 
     # --- crash recovery ---------------------------------------------------
-    db.put(b"unflushed:1", b"precious")
-    wal_snapshot = db.wal.serialize()  # what disk would hold at crash time
-    recovered = MiniRocks(
-        Options(memtable_entries=32, id_universe=1 << 64),
-        rng=random.Random(43),
-        name="recovered",
+    # A store on (simulated) durable storage: every write is fsynced to
+    # the WAL before it is acknowledged, so it survives a crash.
+    storage = SimulatedStorage(seed=42)
+    options = Options(
+        memtable_entries=32, write_mode=WriteMode.SYNC_EVERY_WRITE
     )
-    applied = recovered.recover_from_wal(wal_snapshot)
-    print(f"\nreplayed {applied} WAL records after simulated crash")
-    print("recovered value:", recovered.get(b"unflushed:1"))
+    durable = MiniRocks.open(
+        storage, options=options, rng=random.Random(43), name="durable"
+    )
+    durable.put(b"unflushed:1", b"precious")
+    storage.crash()  # process death: memtable and page cache are lost
+    storage.restart()
+    recovered = MiniRocks.open(
+        storage, options=options, rng=random.Random(44), name="recovered"
+    )
+    print(
+        "\nrecovered from the WAL after the crash:",
+        recovered.get(b"unflushed:1"),
+    )
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -203,21 +204,24 @@ def run_block(
         argv = ["bash", "-c", block.code]
     else:
         argv = [sys.executable, "-c", block.code]
+    # A session of its own makes the block a process group, so a
+    # timeout kills everything it started — a background job left
+    # running would steal CPU from the blocks checked after it.
+    proc = subprocess.Popen(
+        argv,
+        cwd=cwd,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        errors="replace",
+        start_new_session=True,
+    )
     try:
-        proc = subprocess.run(
-            argv,
-            cwd=cwd,
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            timeout=timeout,
-            text=True,
-            errors="replace",
-        )
-    except subprocess.TimeoutExpired as exc:
-        output = exc.output or ""
-        if isinstance(output, bytes):
-            output = output.decode("utf-8", errors="replace")
+        output, _ = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        output, _ = proc.communicate()  # the partial output
         for signature in ROT_SIGNATURES:
             if signature in output:
                 return BlockResult(
@@ -226,7 +230,7 @@ def run_block(
         return BlockResult(
             block, "tolerated", f"timeout after {timeout:.0f}s"
         )
-    status, detail = _classify(proc.returncode, proc.stdout or "")
+    status, detail = _classify(proc.returncode, output or "")
     return BlockResult(block, status, detail)
 
 

@@ -1,11 +1,11 @@
 """REPRO2xx: decoder bounds discipline.
 
-**REPRO201** targets the exact bug class PR 7 had to retrofit out of
-the legacy WAL decoder: a length field read out of the buffer
-(``int.from_bytes(...)`` / ``struct.unpack(...)``) driving a slice
-without a bounds comparison first. ``bytes`` slicing never raises on
-out-of-range indices — a corrupt length silently yields a short slice
-that decodes as garbage downstream instead of failing at the frame.
+**REPRO201** targets one bug class in binary decoders: a length field
+read out of the buffer (``int.from_bytes(...)`` /
+``struct.unpack(...)``) driving a slice without a bounds comparison
+first. ``bytes`` slicing never raises on out-of-range indices — a
+corrupt length silently yields a short slice that decodes as garbage
+downstream instead of failing at the frame.
 
 The analysis is a per-function taint pass over functions whose name
 matches the policy's decoder pattern (``decode``/``from_bytes``/

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError, KVStoreError
 
@@ -277,10 +277,3 @@ class BloomFilter:
         exponent = -self.num_probes * self._count / self.num_bits
         return (1.0 - math.exp(exponent)) ** self.num_probes
 
-
-def serialize_optional(bloom: Optional[BloomFilter]) -> bytes:
-    """Length-prefixed optional bloom (empty prefix == no filter)."""
-    if bloom is None:
-        return (0).to_bytes(4, "big")
-    payload = bloom.to_bytes()
-    return len(payload).to_bytes(4, "big") + payload

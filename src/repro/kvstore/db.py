@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import CorruptionDetectedError, KVStoreError
 from repro.kvstore.blockcache import BlockCache
@@ -121,11 +121,11 @@ class MiniRocks:
         #: (durable regardless of WAL sync state).
         self._flushed_through = 0
         self._wal_floor = 0
+        self.wal: Union[WriteAheadLog, DurableWAL]
         if storage is not None:
-            self.wal: Optional[WriteAheadLog] = None
             self._open_durable()
         else:
-            self.wal = WriteAheadLog() if self.options.use_wal else None
+            self.wal = WriteAheadLog()
 
     @classmethod
     def open(
@@ -179,11 +179,6 @@ class MiniRocks:
                 storage.delete(file_name, label="gc")
         self._wal_floor = floor
         self._flushed_through = next_seqno - 1
-        if not self.options.use_wal:
-            self.wal = None
-            for file_name in storage.list(SEGMENT_PREFIX):
-                storage.delete(file_name, label="gc")
-            return
         recovery = read_segments(
             storage, floor, paranoid=self.options.paranoid_checks
         )
@@ -260,9 +255,7 @@ class MiniRocks:
         ``BATCH``; at the next flush under ``NOSYNC``). Returns None
         on the in-memory store.
         """
-        seqno = None
-        if self.wal is not None:
-            seqno = self.wal.append_put(key, value)
+        seqno = self.wal.append_put(key, value)
         self.memtable.put(key, value)
         self.stats.puts += 1
         self._maybe_flush()
@@ -271,9 +264,7 @@ class MiniRocks:
     def delete(self, key: bytes) -> Optional[int]:
         """Delete ``key`` (writes a tombstone). Returns the WAL seqno
         on a durable store (see :meth:`put` for the ack contract)."""
-        seqno = None
-        if self.wal is not None:
-            seqno = self.wal.append_delete(key)
+        seqno = self.wal.append_delete(key)
         self.memtable.delete(key)
         self.stats.deletes += 1
         self._maybe_flush()
@@ -516,20 +507,17 @@ class MiniRocks:
             self._persist_sst(sst, label="flush")
         self.manifest.add_file(0, sst)
         self.memtable.clear()
-        if self.storage is not None:
-            flushed, floor = self._flushed_through, self._wal_floor
-            if isinstance(self.wal, DurableWAL):
-                flushed = self.wal.last_seqno
-                floor = self.wal.rotate()
+        if isinstance(self.wal, DurableWAL):
+            flushed = self.wal.last_seqno
+            floor = self.wal.rotate()
             self._commit_manifest(wal_floor=floor, flushed_through=flushed)
             # Only now is the flush durable: advance the acked
             # watermark after the commit lands, never before, so
             # ``durable_seqno`` cannot claim seqnos a crash inside
             # the commit would lose.
             self._flushed_through, self._wal_floor = flushed, floor
-            if isinstance(self.wal, DurableWAL):
-                self.wal.truncate_below(self._wal_floor)
-        elif self.wal is not None:
+            self.wal.truncate_below(floor)
+        else:
             self.wal.truncate()
         self.stats.flushes += 1
         self._maybe_compact()
@@ -540,7 +528,7 @@ class MiniRocks:
         assert self.storage is not None
         self.storage.write_atomic(
             sst_filename(sst.fingerprint),
-            sst.to_bytes(self.options.sst_format_version),
+            sst.to_bytes(),
             label=label,
         )
 
@@ -638,30 +626,6 @@ class MiniRocks:
             self._commit_manifest()
         self._maybe_compact()
         return sst
-
-    def recover_from_wal(self, payload: bytes) -> int:
-        """Replay a serialized WAL into the memtable (crash recovery).
-
-        Replayed records are **re-appended to the live WAL** — without
-        that, a second crash after recovery but before the next flush
-        would lose them all over again — and an oversized recovered
-        memtable flushes immediately. Returns the number of records
-        applied.
-        """
-        if self.wal is None:
-            raise KVStoreError("store was configured without a WAL")
-        recovered = WriteAheadLog.deserialize(payload)
-        applied = 0
-        for op, key, value in recovered.records():
-            if op == OP_PUT:
-                self.wal.append_put(key, value)
-                self.memtable.put(key, value)
-            else:
-                self.wal.append_delete(key)
-                self.memtable.delete(key)
-            applied += 1
-        self._maybe_flush()
-        return applied
 
     # -- introspection ---------------------------------------------------------
 

@@ -22,6 +22,11 @@ from repro.kvstore.sstable import SSTable, sst_filename
 MANIFEST_NAME = "MANIFEST"
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer (``bool`` is an ``int`` subclass; reject it)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class VersionEdit:
     """One manifest record."""
@@ -165,11 +170,20 @@ class Manifest:
 
     @staticmethod
     def decode_state(payload: bytes) -> dict:
-        """Parse and validate :meth:`encode_state` output."""
+        """Parse and validate :meth:`encode_state` output.
+
+        Fails closed: anything but a JSON object with integer WAL
+        coordinates, a ``files`` list of ``[level, name]`` pairs and an
+        integer ``assigned_ids`` list raises
+        :class:`~repro.errors.KVStoreError` (JSON ``true`` is not an
+        integer here).
+        """
         try:
             state = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise KVStoreError(f"corrupt manifest: {exc}") from exc
+        if not isinstance(state, dict):
+            raise KVStoreError("corrupt manifest: not a JSON object")
         for field_name in ("wal_floor", "next_seqno", "files",
                            "assigned_ids"):
             if field_name not in state:
@@ -177,22 +191,27 @@ class Manifest:
                     f"corrupt manifest: missing {field_name!r}"
                 )
         if (
-            not isinstance(state["wal_floor"], int)
-            or not isinstance(state["next_seqno"], int)
+            not _is_int(state["wal_floor"])
+            or not _is_int(state["next_seqno"])
             or state["wal_floor"] < 0
             or state["next_seqno"] < 1
         ):
             raise KVStoreError("corrupt manifest: bad WAL coordinates")
+        if not isinstance(state["files"], list):
+            raise KVStoreError("corrupt manifest: files is not a list")
         for entry in state["files"]:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not isinstance(entry[0], int)
+                or not _is_int(entry[0])
                 or not isinstance(entry[1], str)
             ):
                 raise KVStoreError(
                     f"corrupt manifest: bad file entry {entry!r}"
                 )
+        ids = state["assigned_ids"]
+        if not isinstance(ids, list) or not all(_is_int(i) for i in ids):
+            raise KVStoreError("corrupt manifest: bad assigned_ids")
         return state
 
     def restore_assigned_ids(self, ids: List[int]) -> None:

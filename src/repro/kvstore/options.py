@@ -55,20 +55,12 @@ class Options:
     id_algorithm: str = "cluster"
     #: Raise on detected cache corruption instead of counting silently.
     paranoid_checks: bool = False
-    #: Keep the write-ahead log (disable for bulk-load simulations).
-    use_wal: bool = True
     #: WAL fsync policy when the store runs on durable storage
     #: (:class:`~repro.kvstore.wal.WriteMode`); ignored without one.
     write_mode: WriteMode = WriteMode.BATCH
     #: Initial group-commit size for ``WriteMode.BATCH`` (the adaptive
     #: size floats in ``[1, 8 * wal_batch_size]``).
     wal_batch_size: int = 8
-    #: On-storage SST layout for durable stores: 2 (default) persists
-    #: the offset-indexed blocks, serialized bloom, and live-entry
-    #: count; 1 writes the legacy pre-PR-8 layout (reopen re-decodes
-    #: blocks and re-hashes every key). Both versions are always
-    #: *readable*; this only selects what new flushes write.
-    sst_format_version: int = 2
 
     def __post_init__(self) -> None:
         if self.memtable_entries < 1:
@@ -87,11 +79,6 @@ class Options:
             )
         if self.wal_batch_size < 1:
             raise ConfigurationError("wal_batch_size must be >= 1")
-        if self.sst_format_version not in (1, 2):
-            raise ConfigurationError(
-                f"sst_format_version must be 1 or 2, "
-                f"got {self.sst_format_version!r}"
-            )
         if self.id_generator_factory is None:
             self.id_generator_factory = generator_factory_from_spec(
                 self.id_algorithm, self.id_universe

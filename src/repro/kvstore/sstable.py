@@ -11,20 +11,26 @@ number that is unique *by construction* (it is what a coordinated
 system would use). It exists purely as ground truth for the corruption
 auditor — the data path never routes by it.
 
-Block format v2 (the default since PR 8) makes point lookups
-decode-free. A block payload is::
+Point lookups are decode-free. A data block payload is::
 
     records   (klen:u32 | key | vlen:u32 | value) × count
     offsets   count × u32   — record start offsets, ascending from 0
-    trailer   count:u32 | magic:4
+    trailer   count:u32 | magic:4   (magic ``BK\xe2\x02``)
 
 ``Block.get`` binary-searches the offset table and slices out only the
 matching record — no full decode, no per-lookup key-list allocation.
 The offset view is parsed (and strictly validated against the record
 bytes — a flipped or truncated trailer raises
 :class:`~repro.errors.KVStoreError` instead of misreading) once per
-block and memoized. Format-v1 payloads (records only, no trailer) stay
-readable: their offset view is built by a one-time scan.
+block and memoized.
+
+An SST file (:meth:`SSTable.to_bytes`) is the ``SS\x02`` container:
+identity (fingerprint, ``file_id``), the serialized bloom filter, the
+build-time live-entry count, then the length-prefixed block payloads.
+Another magic, a truncated payload or a block whose offset table does
+not tile its records raises :class:`~repro.errors.KVStoreError`. The
+container has no checksum: a flipped byte inside a key, a value or the
+identity fields still decodes.
 """
 
 from __future__ import annotations
@@ -47,11 +53,10 @@ _fingerprint_counter = itertools.count(1)
 SST_PREFIX = "sst-"
 SST_SUFFIX = ".sst"
 
-#: Magic + format version prefixes for :meth:`SSTable.to_bytes`.
-_SST_MAGIC_V1 = b"SS\x01"
+#: Magic + format version prefix for :meth:`SSTable.to_bytes`.
 _SST_MAGIC_V2 = b"SS\x02"
 
-#: Trailer magic closing a format-v2 block payload.
+#: Trailer magic closing a block payload.
 _BLOCK_MAGIC = b"BK\xe2\x02"
 #: count:u32 + magic
 _TRAILER_FIXED = 4 + len(_BLOCK_MAGIC)
@@ -85,43 +90,19 @@ def _encode_records(
     return parts, offsets
 
 
-def _encode_entries(entries: Sequence[Tuple[bytes, bytes]]) -> bytes:
-    """Format-v2 encoding of (key, value) pairs (offset-index trailer)."""
+def _encode_entries(
+    entries: Sequence[Tuple[bytes, bytes]]
+) -> Tuple[bytes, List[int]]:
+    """Block payload for (key, value) pairs + the record offsets."""
     parts, offsets = _encode_records(entries)
     parts.append(struct.pack(f">{len(offsets)}I", *offsets))
     parts.append(len(offsets).to_bytes(4, "big"))
     parts.append(_BLOCK_MAGIC)
-    return b"".join(parts)
-
-
-def _scan_v1_offsets(payload: bytes) -> List[int]:
-    """Offset table of a v1 payload (records only), by linear scan."""
-    offsets: List[int] = []
-    offset = 0
-    size = len(payload)
-    while offset < size:
-        if offset + 4 > size:
-            raise KVStoreError("truncated block payload (key length)")
-        key_len = int.from_bytes(payload[offset : offset + 4], "big")
-        if key_len == 0:
-            # Legit blocks never hold empty keys (the memtable rejects
-            # them); a zero here means we are reading a v2 offset table
-            # (offsets[0] is always 0) or other non-record bytes.
-            raise KVStoreError("corrupt block payload (empty key)")
-        if offset + 8 + key_len > size:
-            raise KVStoreError("truncated block payload (key body)")
-        value_len = int.from_bytes(
-            payload[offset + 4 + key_len : offset + 8 + key_len], "big"
-        )
-        if offset + 8 + key_len + value_len > size:
-            raise KVStoreError("truncated block payload (record body)")
-        offsets.append(offset)
-        offset += 8 + key_len + value_len
-    return offsets
+    return b"".join(parts), offsets
 
 
 def _parse_v2_offsets(payload: bytes) -> List[int]:
-    """Parse + strictly validate a v2 payload's offset table.
+    """Parse + strictly validate a block payload's offset table.
 
     The stored table must agree exactly with the record walk (each
     record's length prefixes tile the record region): any bit flip or
@@ -130,7 +111,7 @@ def _parse_v2_offsets(payload: bytes) -> List[int]:
     """
     size = len(payload)
     if size < _TRAILER_FIXED or payload[-len(_BLOCK_MAGIC):] != _BLOCK_MAGIC:
-        raise KVStoreError("block payload lacks the v2 trailer magic")
+        raise KVStoreError("block payload lacks the trailer magic")
     count = int.from_bytes(
         payload[size - _TRAILER_FIXED : size - len(_BLOCK_MAGIC)], "big"
     )
@@ -167,45 +148,17 @@ def _parse_v2_offsets(payload: bytes) -> List[int]:
     return offsets
 
 
-def _decode_entries(payload: bytes) -> List[Tuple[bytes, bytes]]:
-    """Decode a block payload (v2 trailer or legacy v1 records).
-
-    Sniffs the trailer magic, but the magic is 4 arbitrary-looking
-    bytes that a legacy record's *value* can legitimately end with —
-    so a payload that looks v2 yet fails the strict offset validation
-    is retried as v1 before giving up. Contexts that know the format
-    (``Block.format``, the SST container version) decode directly and
-    never sniff.
-    """
-    if (
-        len(payload) >= _TRAILER_FIXED
-        and payload[-len(_BLOCK_MAGIC):] == _BLOCK_MAGIC
-    ):
-        try:
-            offsets = _parse_v2_offsets(payload)
-        except KVStoreError:
-            return [
-                _record_at(payload, offset)
-                for offset in _scan_v1_offsets(payload)
-            ]
-        return [_record_at(payload, offset) for offset in offsets]
-    entries: List[Tuple[bytes, bytes]] = []
-    for offset in _scan_v1_offsets(payload):
-        entries.append(_record_at(payload, offset))
-    return entries
-
-
 def _key_at(payload: bytes, offset: int) -> bytes:
-    # Hot zero-decode read path: offsets only ever come from
-    # _parse_v2_offsets/_scan_v1_offsets, which validate every record's
+    # Hot zero-decode read path: offsets only ever come from the
+    # builder or from _parse_v2_offsets, which validates every record's
     # length prefixes against the payload size before handing them out.
     key_len = int.from_bytes(payload[offset : offset + 4], "big")
     return payload[offset + 4 : offset + 4 + key_len]  # noqa: REPRO201 -- record pre-validated by the offset scan
 
 
 def _record_at(payload: bytes, offset: int) -> Tuple[bytes, bytes]:
-    # Same contract as _key_at: callers pass offsets produced by the
-    # validating scans, so the length prefixes are known in-bounds.
+    # Same contract as _key_at: callers pass offsets from the builder
+    # or the validating parse, so the length prefixes are in bounds.
     key_len = int.from_bytes(payload[offset : offset + 4], "big")  # noqa: REPRO201 -- record pre-validated by the offset scan
     offset += 4
     key = payload[offset : offset + key_len]  # noqa: REPRO201 -- record pre-validated by the offset scan
@@ -219,11 +172,8 @@ def _record_at(payload: bytes, offset: int) -> Tuple[bytes, bytes]:
 class Block:
     """One immutable data block: an encoded, sorted run of entries.
 
-    ``format`` names the payload encoding (2 = offset-index trailer,
-    1 = legacy records-only); it travels with the block, so cached
-    blocks served across files decode by their *own* format. The
-    offset view is parsed lazily and memoized — repeated ``get`` calls
-    and ``entries_from`` seeks reuse it.
+    The offset view is parsed lazily and memoized — repeated ``get``
+    calls and ``entries_from`` seeks reuse it.
     """
 
     payload: bytes
@@ -232,7 +182,6 @@ class Block:
     #: Ground-truth owner (SST fingerprint) for the corruption auditor.
     owner_fingerprint: int
     block_no: int
-    format: int = 2
     _offsets: Optional[Tuple[int, ...]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -241,8 +190,7 @@ class Block:
         """Record start offsets (parsed once, then memoized)."""
         cached = self._offsets
         if cached is None:
-            parse = _parse_v2_offsets if self.format == 2 else _scan_v1_offsets
-            cached = tuple(parse(self.payload))
+            cached = tuple(_parse_v2_offsets(self.payload))
             object.__setattr__(self, "_offsets", cached)
         return cached
 
@@ -254,14 +202,6 @@ class Block:
     def entry_count(self) -> int:
         """Number of records, without decoding them."""
         return len(self.offsets())
-
-    @property
-    def body_size(self) -> int:
-        """Bytes of the record region (payload minus any trailer)."""
-        if self.format == 1:
-            return len(self.payload)
-        offsets = self.offsets()
-        return len(self.payload) - _TRAILER_FIXED - 4 * len(offsets)
 
     def entries(self) -> List[Tuple[bytes, bytes]]:
         """Decode the block's (key, value) pairs."""
@@ -328,8 +268,8 @@ class SSTable:
         bloom: Optional[BloomFilter],
         fingerprint: int,
         entry_count: int,
-        bloom_bits_per_key: int = 0,
-        live_entries: Optional[int] = None,
+        bloom_bits_per_key: int,
+        live_entries: int,
     ):
         self.file_id = file_id
         self.blocks = blocks
@@ -345,10 +285,6 @@ class SSTable:
         self.max_key = blocks[-1].last_key if blocks else b""
         #: Non-tombstone entries, fixed at build time (the file is
         #: immutable) so size queries never decode blocks.
-        if live_entries is None:
-            live_entries = sum(
-                1 for _, v in self.iter_entries() if v != TOMBSTONE
-            )
         self.live_entries = live_entries
 
     @classmethod
@@ -378,12 +314,9 @@ class SSTable:
         index_keys: List[bytes] = []
         for block_no, start in enumerate(range(0, len(entries), block_entries)):
             chunk = list(entries[start : start + block_entries])
-            parts, offsets = _encode_records(chunk)
-            parts.append(struct.pack(f">{len(offsets)}I", *offsets))
-            parts.append(len(offsets).to_bytes(4, "big"))
-            parts.append(_BLOCK_MAGIC)
+            payload, offsets = _encode_entries(chunk)
             block = Block(
-                payload=b"".join(parts),
+                payload=payload,
                 first_key=chunk[0][0],
                 last_key=chunk[-1][0],
                 owner_fingerprint=fingerprint,
@@ -409,41 +342,19 @@ class SSTable:
 
     # -- durable round-trip --------------------------------------------------
 
-    def to_bytes(self, format_version: int = 2) -> bytes:
+    def to_bytes(self) -> bytes:
         """Serialize for durable storage, preserving identity.
 
         Both the uncoordinated ``file_id`` *and* the ground-truth
         ``fingerprint`` survive the round-trip — a reloaded SST must
         keep claiming its original cache blocks, or every reopen would
-        manufacture false cache-corruption signals.
-
-        Version 2 (default) persists the bloom filter's bit array and
-        the build-time live-entry count, so reopening neither re-hashes
-        every key nor decodes any block. ``format_version=1`` writes
-        the legacy layout (records-only blocks, no bloom) — kept for
-        compatibility tests and the reopen-cost benchmark.
+        manufacture false cache-corruption signals. The bloom filter's
+        bit array and the build-time live-entry count are persisted
+        too, so reopening neither re-hashes a key nor decodes a block.
         """
-        if format_version not in (1, 2):
-            raise KVStoreError(
-                f"unknown SST format version {format_version!r}"
-            )
         id_bytes = self.file_id.to_bytes(
             max(1, (self.file_id.bit_length() + 7) // 8), "big"
         )
-        if format_version == 1:
-            parts: List[bytes] = [
-                _SST_MAGIC_V1,
-                self.fingerprint.to_bytes(8, "big"),
-                len(id_bytes).to_bytes(2, "big"),
-                id_bytes,
-                self.bloom_bits_per_key.to_bytes(4, "big"),
-                len(self.blocks).to_bytes(4, "big"),
-            ]
-            for block in self.blocks:
-                body = block.payload[: block.body_size]
-                parts.append(len(body).to_bytes(4, "big"))
-                parts.append(body)
-            return b"".join(parts)
         bloom_bytes = b"" if self.bloom is None else self.bloom.to_bytes()
         parts = [
             _SST_MAGIC_V2,
@@ -457,32 +368,23 @@ class SSTable:
             len(self.blocks).to_bytes(4, "big"),
         ]
         for block in self.blocks:
-            if block.format != 2:
-                # Reloaded v1 blocks upgrade on the way out: append the
-                # trailer so the persisted file is uniformly v2.
-                payload = _encode_entries(block.entries())
-            else:
-                payload = block.payload
-            parts.append(len(payload).to_bytes(4, "big"))
-            parts.append(payload)
+            parts.append(len(block.payload).to_bytes(4, "big"))
+            parts.append(block.payload)
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "SSTable":
-        """Inverse of :meth:`to_bytes` (either format version).
+        """Inverse of :meth:`to_bytes`.
 
         Blocks are rebuilt on their original boundaries (cache
-        granularity is part of the file, not the reader). A v2 file
-        reopens decode-free: the bloom filter deserializes from its
-        bit array, the live-entry count comes from the header, and
-        per-block bookkeeping (first/last key, entry count) needs only
-        the validated offset table. A v1 file decodes every block and
-        re-hashes every key, exactly as it always did.
+        granularity is part of the file, not the reader). Reopening is
+        decode-free: the bloom filter deserializes from its bit array,
+        the live-entry count comes from the header, and per-block
+        bookkeeping (first/last key, entry count) needs only the
+        validated offset table. Malformed input raises
+        :class:`~repro.errors.KVStoreError`.
         """
-        magic = payload[: len(_SST_MAGIC_V2)]
-        if magic == _SST_MAGIC_V1:
-            return cls._from_bytes_v1(payload)
-        if magic != _SST_MAGIC_V2:
+        if payload[: len(_SST_MAGIC_V2)] != _SST_MAGIC_V2:
             raise KVStoreError("bad SST magic/version")
         size = len(payload)
         offset = len(_SST_MAGIC_V2)
@@ -563,82 +465,6 @@ class SSTable:
             entry_count=entry_count,
             bloom_bits_per_key=bloom_bits_per_key,
             live_entries=live_entries,
-        )
-
-    @classmethod
-    def _from_bytes_v1(cls, payload: bytes) -> "SSTable":
-        """Legacy (pre-PR-8) loader: full decode + bloom rebuild."""
-        size = len(payload)
-        offset = len(_SST_MAGIC_V1)
-        if offset + 14 > size:
-            raise KVStoreError("truncated SST header")
-        fingerprint = int.from_bytes(payload[offset : offset + 8], "big")
-        offset += 8
-        id_len = int.from_bytes(payload[offset : offset + 2], "big")
-        offset += 2
-        if id_len > size - offset:
-            raise KVStoreError("SST file_id length exceeds payload")
-        file_id = int.from_bytes(payload[offset : offset + id_len], "big")
-        offset += id_len
-        if offset + 8 > size:
-            raise KVStoreError("truncated SST header")
-        bloom_bits_per_key = int.from_bytes(
-            payload[offset : offset + 4], "big"
-        )
-        offset += 4
-        num_blocks = int.from_bytes(payload[offset : offset + 4], "big")
-        offset += 4
-        if num_blocks == 0:
-            raise KVStoreError("SST with no blocks")
-        blocks: List[Block] = []
-        index_keys: List[bytes] = []
-        entry_count = 0
-        all_keys: List[bytes] = []
-        for block_no in range(num_blocks):
-            if offset + 4 > size:
-                raise KVStoreError("truncated SST block length")
-            block_len = int.from_bytes(payload[offset : offset + 4], "big")
-            offset += 4
-            if block_len > size - offset:
-                raise KVStoreError("SST block length exceeds payload")
-            body = payload[offset : offset + block_len]
-            offset += block_len
-            # v1 container ⇒ records-only bodies: decode explicitly
-            # (no trailer sniffing — a value ending with the magic
-            # bytes must not derail a legacy file).
-            entries = [
-                _record_at(body, record_off)
-                for record_off in _scan_v1_offsets(body)
-            ]
-            if not entries:
-                raise KVStoreError("empty SST block")
-            blocks.append(
-                Block(
-                    payload=body,
-                    first_key=entries[0][0],
-                    last_key=entries[-1][0],
-                    owner_fingerprint=fingerprint,
-                    block_no=block_no,
-                    format=1,
-                )
-            )
-            index_keys.append(entries[-1][0])
-            entry_count += len(entries)
-            all_keys.extend(k for k, _ in entries)
-        if offset != size:
-            raise KVStoreError("trailing bytes after SST blocks")
-        bloom = None
-        if bloom_bits_per_key > 0:
-            bloom = BloomFilter(entry_count, bloom_bits_per_key)
-            bloom.add_all(all_keys)
-        return cls(
-            file_id=file_id,
-            blocks=blocks,
-            index_keys=index_keys,
-            bloom=bloom,
-            fingerprint=fingerprint,
-            entry_count=entry_count,
-            bloom_bits_per_key=bloom_bits_per_key,
         )
 
     def key_in_range(self, key: bytes) -> bool:

@@ -2,10 +2,9 @@
 
 Two implementations share the record vocabulary:
 
-* :class:`WriteAheadLog` — the original in-memory list. Still used
-  when a :class:`MiniRocks` runs without a storage backend; its
-  ``serialize``/``deserialize`` round-trip is the legacy
-  crash-recovery test seam.
+* :class:`WriteAheadLog` — an in-memory list of records, used when a
+  :class:`MiniRocks` runs without a storage backend. It has no byte
+  format: nothing it holds outlives the process.
 * :class:`DurableWAL` — the durable, segmented log over a
   :class:`~repro.kvstore.storage.SimulatedStorage`. Records are
   framed ``seqno:8 | op:1 | klen:4 | vlen:4 | crc32:4 | key | value``
@@ -45,7 +44,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Protocol, Tuple
+from typing import List, Optional, Protocol, Tuple
 
 from repro.errors import ConfigurationError, KVStoreError, WALCorruptionError
 from repro.kvstore.storage import SimulatedStorage
@@ -179,65 +178,9 @@ class WriteAheadLog:
         """Log a delete."""
         self._records.append((OP_DELETE, key, b""))
 
-    def records(self) -> Iterator[Record]:
-        """All records in append order."""
-        return iter(self._records)
-
     def truncate(self) -> None:
         """Discard the log (after the memtable it covers was flushed)."""
         self._records.clear()
-
-    def serialize(self) -> bytes:
-        """Flat binary encoding: op byte + length-prefixed key/value."""
-        parts: List[bytes] = []
-        for op, key, value in self._records:
-            parts.append(bytes([op]))
-            parts.append(len(key).to_bytes(4, "big"))
-            parts.append(key)
-            parts.append(len(value).to_bytes(4, "big"))
-            parts.append(value)
-        return b"".join(parts)
-
-    @classmethod
-    def deserialize(cls, payload: bytes) -> "WriteAheadLog":
-        """Rebuild a WAL from :meth:`serialize` output.
-
-        Length prefixes are bounded against the remaining payload
-        *before* slicing (a corrupt or hostile length field is
-        rejected up front rather than detected after a short slice).
-        """
-        wal = cls()
-        offset = 0
-        size = len(payload)
-        while offset < size:
-            op = payload[offset]
-            offset += 1
-            if op not in (OP_PUT, OP_DELETE):
-                raise KVStoreError(f"corrupt WAL: unknown op {op}")
-            if offset + 4 > size:
-                raise KVStoreError("corrupt WAL: truncated key length")
-            key_len = int.from_bytes(payload[offset : offset + 4], "big")
-            offset += 4
-            if key_len > size - offset:
-                raise KVStoreError(
-                    f"corrupt WAL: key length {key_len} exceeds "
-                    f"remaining payload ({size - offset} bytes)"
-                )
-            key = payload[offset : offset + key_len]
-            offset += key_len
-            if offset + 4 > size:
-                raise KVStoreError("corrupt WAL: truncated value length")
-            value_len = int.from_bytes(payload[offset : offset + 4], "big")
-            offset += 4
-            if value_len > size - offset:
-                raise KVStoreError(
-                    f"corrupt WAL: value length {value_len} exceeds "
-                    f"remaining payload ({size - offset} bytes)"
-                )
-            value = payload[offset : offset + value_len]
-            offset += value_len
-            wal._records.append((op, key, value))
-        return wal
 
 
 class DurableWAL:

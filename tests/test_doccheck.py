@@ -2,8 +2,10 @@
 rot classification, and end-to-end runs over real markdown files."""
 
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -118,6 +120,16 @@ def _write_doc(tmp_path, text):
     return str(doc)
 
 
+def _running(pid):
+    """Is ``pid`` alive? A zombie awaiting its reaper counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
+
+
 class TestCheckPaths:
     def test_mixed_doc_is_fully_classified(self, tmp_path):
         doc = _write_doc(
@@ -191,6 +203,28 @@ class TestCheckPaths:
         assert result.status == "tolerated"
         assert "timeout" in result.detail
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="needs procfs"
+    )
+    def test_timeout_kills_background_jobs(self, tmp_path):
+        # A job the block left running would keep using CPU while the
+        # later blocks run, and could push them past their own budget.
+        pid_file = tmp_path / "pid"
+        doc = _write_doc(
+            tmp_path, f"```bash\nsleep 30 & echo $! > {pid_file}; wait\n```\n"
+        )
+        report = check_paths([doc], root=str(tmp_path), timeout=1)
+        assert report.results[0].status == "tolerated"
+        pid = int(pid_file.read_text())
+        try:
+            deadline = time.monotonic() + 5
+            while _running(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(pid)
+        finally:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(LintError):
             check_paths([str(tmp_path / "absent.md")])
@@ -227,7 +261,7 @@ class TestCli:
 
     def test_exit_zero_on_clean_docs(self, tmp_path):
         doc = _write_doc(tmp_path, "```bash\ntrue\n```\n")
-        proc = self._run(doc)
+        proc = self._run("--timeout", "20", doc)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout
 

@@ -7,8 +7,8 @@ from repro.errors import ConfigurationError, KVStoreError
 from repro.kvstore.blockcache import BlockCache
 from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.memtable import TOMBSTONE, MemTable
-from repro.kvstore.sstable import Block, SSTable, _decode_entries, _encode_entries
-from repro.kvstore.wal import OP_DELETE, OP_PUT, WriteAheadLog
+from repro.kvstore.sstable import Block, SSTable, _encode_entries, _parse_v2_offsets
+from repro.kvstore.wal import WriteAheadLog
 
 
 class TestMemTable:
@@ -88,40 +88,27 @@ class TestBloomFilter:
 
 
 class TestWAL:
-    def test_roundtrip(self):
-        wal = WriteAheadLog()
-        wal.append_put(b"k1", b"v1")
-        wal.append_delete(b"k2")
-        wal.append_put(b"k3", b"")
-        restored = WriteAheadLog.deserialize(wal.serialize())
-        assert list(restored.records()) == [
-            (OP_PUT, b"k1", b"v1"),
-            (OP_DELETE, b"k2", b""),
-            (OP_PUT, b"k3", b""),
-        ]
-
     def test_truncate(self):
         wal = WriteAheadLog()
         wal.append_put(b"k", b"v")
         wal.truncate()
         assert len(wal) == 0
 
-    def test_corrupt_payload_rejected(self):
-        with pytest.raises(KVStoreError):
-            WriteAheadLog.deserialize(b"\x09garbage")
-        with pytest.raises(KVStoreError):
-            WriteAheadLog.deserialize(b"\x01\x00\x00")
-
 
 class TestBlockEncoding:
     def test_roundtrip(self):
         entries = [(b"a", b"1"), (b"bb", b""), (b"ccc", b"xyz" * 100)]
-        assert _decode_entries(_encode_entries(entries)) == entries
+        payload, _ = _encode_entries(entries)
+        block = Block(
+            payload=payload, first_key=b"a", last_key=b"ccc",
+            owner_fingerprint=0, block_no=0,
+        )
+        assert block.entries() == entries
 
     def test_truncation_detected(self):
-        payload = _encode_entries([(b"abc", b"def")])
+        payload, _ = _encode_entries([(b"abc", b"def")])
         with pytest.raises(KVStoreError):
-            _decode_entries(payload[:-5] + b"\xff\xff\xff\xff")
+            _parse_v2_offsets(payload[:-5] + b"\xff\xff\xff\xff")
 
 
 class TestSSTable:
@@ -193,7 +180,7 @@ class TestSSTable:
 class TestBlockCache:
     def _block(self, fingerprint=1, block_no=0):
         return Block(
-            payload=_encode_entries([(b"k", b"v")]),
+            payload=_encode_entries([(b"k", b"v")])[0],
             first_key=b"k",
             last_key=b"k",
             owner_fingerprint=fingerprint,

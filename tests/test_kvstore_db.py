@@ -1,5 +1,6 @@
 """MiniRocks integration tests: manifest, compaction, the DB facade."""
 
+import json
 import random
 
 import pytest
@@ -67,6 +68,35 @@ class TestManifest:
         manifest = Manifest(3)
         with pytest.raises(KVStoreError):
             manifest.remove_file(0, sst_from(1, [(b"a", b"1")]))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"1",
+            b"null",
+            {"files": 5},
+            {"assigned_ids": "abc"},
+            {"assigned_ids": [1.5, "x"]},
+            {"wal_floor": True},
+            {"files": [[True, "sst-000000000001.sst"]]},
+        ],
+        ids=[
+            "int", "null", "files-int", "ids-str", "ids-mixed",
+            "floor-bool", "level-bool",
+        ],
+    )
+    def test_decode_state_fails_closed(self, payload):
+        state = {
+            "wal_floor": 0,
+            "next_seqno": 1,
+            "files": [[0, "sst-000000000001.sst"]],
+            "assigned_ids": [7],
+        }
+        assert Manifest.decode_state(json.dumps(state).encode()) == state
+        if isinstance(payload, dict):
+            payload = json.dumps({**state, **payload}).encode()
+        with pytest.raises(KVStoreError):
+            Manifest.decode_state(payload)
 
     def test_detach_attach_does_not_rerecord_id(self):
         manifest_a = Manifest(3)
@@ -210,22 +240,6 @@ class TestMiniRocks:
         db = self._db()
         db.put(b"a", b"1")
         assert db.multi_get([b"a", b"b"]) == [b"1", None]
-
-    def test_wal_recovery(self):
-        db = self._db()
-        db.put(b"k1", b"v1")
-        db.delete(b"k2")
-        payload = db.wal.serialize()
-        fresh = self._db()
-        assert fresh.recover_from_wal(payload) == 2
-        assert fresh.get(b"k1") == b"v1"
-        assert fresh.get(b"k2") is None
-
-    def test_wal_disabled(self):
-        db = self._db(use_wal=False)
-        db.put(b"k", b"v")
-        with pytest.raises(KVStoreError):
-            db.recover_from_wal(b"")
 
     def test_paranoid_checks_raise_on_collision(self):
         """Two stores with the same tiny universe and a shared cache."""

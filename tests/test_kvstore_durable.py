@@ -6,12 +6,14 @@ segment rotation/truncation, ``read_segments`` torn-tail vs mid-log
 classification — including golden fixtures cut/corrupted at **every**
 byte boundary of the final record — and the durable
 ``MiniRocks.open`` lifecycle (SST round-trip, manifest commit,
-WAL replay, legacy ``recover_from_wal`` durability fix).
+WAL replay).
 """
 
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import KVStoreError, WALCorruptionError
 from repro.kvstore.db import MiniRocks
@@ -23,7 +25,6 @@ from repro.kvstore.wal import (
     OP_PUT,
     RECORD_HEADER,
     DurableWAL,
-    WriteAheadLog,
     WriteMode,
     decode_record_at,
     encode_record,
@@ -75,41 +76,6 @@ class TestRecordCodec:
         record = encode_record(1, OP_PUT, b"k", b"v")
         with pytest.raises(WALCorruptionError, match="truncated"):
             decode_record_at(record[: RECORD_HEADER - 1], 0)
-
-
-class TestLegacyDeserializeBounds:
-    """Satellite: the in-memory WAL rejects oversized prefixes up front."""
-
-    def test_roundtrip_still_works(self):
-        wal = WriteAheadLog()
-        wal.append_put(b"k1", b"v1")
-        wal.append_delete(b"k2")
-        clone = WriteAheadLog.deserialize(wal.serialize())
-        assert list(clone.records()) == list(wal.records())
-
-    def test_key_length_beyond_payload_rejected(self):
-        # op=1, klen=9 but only 7 bytes follow.
-        with pytest.raises(KVStoreError, match="key length"):
-            WriteAheadLog.deserialize(
-                b"\x01" + (9).to_bytes(4, "big") + b"garbage"
-            )
-
-    def test_value_length_beyond_payload_rejected(self):
-        payload = (
-            b"\x01"
-            + (1).to_bytes(4, "big")
-            + b"k"
-            + (500).to_bytes(4, "big")
-            + b"short"
-        )
-        with pytest.raises(KVStoreError, match="value length"):
-            WriteAheadLog.deserialize(payload)
-
-    def test_truncated_length_fields_rejected(self):
-        with pytest.raises(KVStoreError):
-            WriteAheadLog.deserialize(b"\x01\x00\x00")
-        with pytest.raises(KVStoreError):
-            WriteAheadLog.deserialize(b"\x09garbage")
 
 
 class TestDurableWALGroupCommit:
@@ -339,12 +305,58 @@ class TestSSTableRoundTrip:
         no_bloom = SSTable.from_bytes(self._sst(bloom=0).to_bytes())
         assert no_bloom.bloom is None
 
-    def test_corrupt_payloads_rejected(self):
-        blob = self._sst().to_bytes()
-        with pytest.raises(KVStoreError):
-            SSTable.from_bytes(b"XX" + blob[2:])
-        with pytest.raises(KVStoreError):
-            SSTable.from_bytes(blob[:-4])
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        entries=st.dictionaries(
+            st.binary(min_size=1, max_size=12),
+            st.binary(max_size=16),
+            min_size=1,
+            max_size=30,
+        ).map(lambda table: sorted(table.items())),
+        block_entries=st.integers(1, 8),
+        bloom=st.sampled_from([0, 4, 10]),
+        file_id=st.integers(0, (1 << 128) - 1),
+        patches=st.lists(
+            st.tuples(
+                st.integers(0, 1 << 16), st.binary(min_size=1, max_size=4)
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_corrupt_payloads_rejected(
+        self, entries, block_entries, bloom, file_id, patches
+    ):
+        """The one SST decoder fails closed.
+
+        Every strict prefix and every foreign magic raises
+        :class:`KVStoreError`; a payload with 1-4 bytes overwritten
+        either raises it or decodes to a fully readable table — no
+        other exception escapes.
+        """
+        blob = SSTable.from_entries(
+            file_id, entries, block_entries, bloom_bits_per_key=bloom
+        ).to_bytes()
+        for magic in (b"XX\x02", b"SS\x01"):
+            with pytest.raises(KVStoreError):
+                SSTable.from_bytes(magic + blob[3:])
+        for cut in range(len(blob)):
+            with pytest.raises(KVStoreError):
+                SSTable.from_bytes(blob[:cut])
+        for position, patch in patches:
+            position %= len(blob)
+            corrupt = (
+                blob[:position] + patch + blob[position + len(patch):]
+            )[: len(blob)]
+            try:
+                clone = SSTable.from_bytes(corrupt)
+            except KVStoreError:
+                continue
+            list(clone.iter_entries())
 
 
 def _durable_options(**overrides):
@@ -588,38 +600,3 @@ class TestDurableMiniRocks:
                 ),
                 rng=random.Random(14),
             )
-
-
-class TestLegacyRecoverFromWal:
-    """Satellite: replayed records stay durable and oversized replays
-    flush."""
-
-    def test_replay_reappends_to_live_wal(self):
-        source = MiniRocks(Options(), rng=random.Random(1))
-        source.put(b"a", b"1")
-        source.delete(b"b")
-        payload = source.wal.serialize()
-        fresh = MiniRocks(Options(), rng=random.Random(2))
-        assert fresh.recover_from_wal(payload) == 2
-        # The recovered records must survive a *second* crash: the
-        # live WAL now carries them again.
-        assert fresh.wal.serialize() == payload
-        second = MiniRocks(Options(), rng=random.Random(3))
-        assert second.recover_from_wal(fresh.wal.serialize()) == 2
-        assert second.get(b"a") == b"1"
-
-    def test_oversized_replay_triggers_flush(self):
-        source = MiniRocks(Options(memtable_entries=4), rng=random.Random(4))
-        for i in range(10):
-            source.put(f"k{i}".encode(), b"v")
-        # Only the unflushed tail lives in the WAL; craft a payload
-        # bigger than the memtable limit instead.
-        wal = WriteAheadLog()
-        for i in range(10):
-            wal.append_put(f"k{i}".encode(), b"v")
-        fresh = MiniRocks(Options(memtable_entries=4), rng=random.Random(5))
-        fresh.recover_from_wal(wal.serialize())
-        assert fresh.stats.flushes >= 1
-        assert len(fresh.memtable) < 10
-        for i in range(10):
-            assert fresh.get(f"k{i}".encode()) == b"v"

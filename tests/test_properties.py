@@ -13,7 +13,6 @@ from repro.analysis.combinatorics import (
     disjoint_subsets_probability_estimate,
 )
 from repro.analysis.exact import (
-    bins_collision_probability,
     cluster_collision_probability,
     random_collision_probability,
 )
@@ -32,8 +31,7 @@ from repro.idspace.encoding import (
 )
 from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.memtable import TOMBSTONE, MemTable
-from repro.kvstore.sstable import _decode_entries, _encode_entries
-from repro.kvstore.wal import WriteAheadLog
+from repro.kvstore.sstable import Block, _encode_entries
 from repro.simulation.montecarlo import wilson_interval
 from repro.simulation.seeds import derive_seed
 
@@ -252,29 +250,12 @@ def test_byte_hex_base32_roundtrip(value):
     )
 )
 def test_block_encoding_roundtrip(entries):
-    assert _decode_entries(_encode_entries(entries)) == entries
-
-
-@FAST
-@given(
-    records=st.lists(
-        st.tuples(
-            st.booleans(),
-            st.binary(min_size=1, max_size=16),
-            st.binary(max_size=16),
-        ),
-        max_size=12,
+    payload, _ = _encode_entries(entries)
+    block = Block(
+        payload=payload, first_key=b"", last_key=b"",
+        owner_fingerprint=0, block_no=0,
     )
-)
-def test_wal_roundtrip(records):
-    wal = WriteAheadLog()
-    for is_put, key, value in records:
-        if is_put:
-            wal.append_put(key, value)
-        else:
-            wal.append_delete(key)
-    restored = WriteAheadLog.deserialize(wal.serialize())
-    assert list(restored.records()) == list(wal.records())
+    assert block.entries() == entries
 
 
 @FAST

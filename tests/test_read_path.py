@@ -1,16 +1,17 @@
-"""The zero-decode read path: block format v2, serialized blooms,
-batched lookups, and the supporting O(1) bookkeeping.
+"""The zero-decode read path: the offset-indexed block format,
+serialized blooms, batched lookups, and the supporting O(1)
+bookkeeping.
 
-Covers the PR-8 storage-format contracts:
+Covers the storage-format contracts:
 
-* block v2 encode→decode identity, and v1 payloads still decoding;
+* block encode→decode identity;
 * corrupted offset trailers (truncation, bit flips) raising
   :class:`~repro.errors.KVStoreError` — never a silent misread;
 * bloom serialization round-trips and numpy/python backend
   bit-identity over a parameter grid;
 * ``multi_get`` agreeing with looped ``get`` including stats;
 * the per-file cache index, O(1) memtable sizing, and build-time
-  live-entry counts surviving both SST container formats.
+  live-entry counts surviving the SST container round trip.
 """
 
 import random
@@ -34,11 +35,9 @@ from repro.kvstore.sstable import (
     _BLOCK_MAGIC,
     Block,
     SSTable,
-    _decode_entries,
     _encode_entries,
     _encode_records,
     _parse_v2_offsets,
-    _scan_v1_offsets,
 )
 from repro.kvstore.storage import SimulatedStorage
 
@@ -63,58 +62,38 @@ SORTED_ENTRIES = st.lists(
 )
 
 
-def _v1_payload(entries):
-    """Encode a legacy records-only block body (no offset trailer)."""
-    parts, _offsets = _encode_records(entries)
-    return b"".join(parts)
+def _decode(payload):
+    """Decode a block payload through the validating offset parse."""
+    return Block(
+        payload=payload, first_key=b"", last_key=b"",
+        owner_fingerprint=0, block_no=0,
+    ).entries()
 
 
-# -- block format v2 ----------------------------------------------------------
+# -- block format -------------------------------------------------------------
 
 
 @FAST
 @given(entries=ENTRIES)
 def test_v2_roundtrip_identity(entries):
-    payload = _encode_entries(entries)
+    payload, _ = _encode_entries(entries)
     assert payload.endswith(_BLOCK_MAGIC)
-    assert _decode_entries(payload) == entries
-
-
-@FAST
-@given(entries=ENTRIES)
-def test_v1_payloads_still_decode(entries):
-    assert _decode_entries(_v1_payload(entries)) == entries
-
-
-def test_v1_payload_ending_with_magic_bytes_still_decodes():
-    """A legacy value may legitimately end with the v2 magic bytes.
-
-    The sniffing decoder must fall back to the v1 scan when the
-    strict v2 validation rejects the trailer, and the v1 *container*
-    loader must never sniff at all.
-    """
-    entries = [(b"\x00", _BLOCK_MAGIC), (b"k", b"tail" + _BLOCK_MAGIC)]
-    assert _decode_entries(_v1_payload(entries)) == entries
-    sst = SSTable.from_entries(
-        file_id=9, entries=entries, block_entries=4, bloom_bits_per_key=10
-    )
-    clone = SSTable.from_bytes(sst.to_bytes(format_version=1))
-    assert list(clone.iter_entries()) == entries
+    assert _decode(payload) == entries
 
 
 @FAST
 @given(entries=ENTRIES)
 def test_v2_offsets_agree_with_v1_scan(entries):
     """The stored offset table is exactly what a record walk yields."""
-    payload = _encode_entries(entries)
-    body = _v1_payload(entries)
-    assert _parse_v2_offsets(payload) == _scan_v1_offsets(body)
+    payload, _ = _encode_entries(entries)
+    _, walk = _encode_records(entries)
+    assert _parse_v2_offsets(payload) == walk
 
 
 @FAST
 @given(entries=ENTRIES, cut=st.integers(1, 12))
 def test_truncated_trailer_raises(entries, cut):
-    payload = _encode_entries(entries)
+    payload, _ = _encode_entries(entries)
     cut = min(cut, len(payload) - 1)
     with pytest.raises(KVStoreError):
         _parse_v2_offsets(payload[:-cut])
@@ -129,19 +108,18 @@ def test_truncated_trailer_raises(entries, cut):
 def test_bitflipped_trailer_raises_or_decodes_identically(
     entries, tail_byte, flip
 ):
-    """Flipping offset-table/count bits must never silently misread.
+    """Flipping trailer bits must never silently misread.
 
-    Every flip inside the fixed trailer (count + magic) or the offset
-    table must either raise or — when the flip lands in a magic byte
-    making the payload look like v1 — still decode to the *original*
-    entries via the v1 scan or raise. Wrong entries are the one
-    forbidden outcome.
+    Every flip inside the fixed trailer (count + magic) must either
+    raise — the offset parse requires the magic and a table that tiles
+    the records exactly — or decode to the *original* entries. Wrong
+    entries are the one forbidden outcome.
     """
-    payload = bytearray(_encode_entries(entries))
+    payload = bytearray(_encode_entries(entries)[0])
     position = len(payload) - min(tail_byte, len(payload))
     payload[position] ^= 1 << flip
     try:
-        decoded = _decode_entries(bytes(payload))
+        decoded = _decode(bytes(payload))
     except KVStoreError:
         return
     assert decoded == entries
@@ -163,7 +141,7 @@ def test_block_get_slices_single_record():
 @FAST
 @given(entries=SORTED_ENTRIES)
 def test_block_entries_from_matches_slice(entries):
-    payload = _encode_entries(entries)
+    payload, _ = _encode_entries(entries)
     block = Block(
         payload=payload,
         first_key=entries[0][0],
@@ -179,7 +157,7 @@ def test_block_entries_from_matches_slice(entries):
 
 
 def test_lazy_offsets_memoized():
-    payload = _encode_entries([(b"a", b"1"), (b"b", b"2")])
+    payload, _ = _encode_entries([(b"a", b"1"), (b"b", b"2")])
     block = Block(
         payload=payload, first_key=b"a", last_key=b"b",
         owner_fingerprint=0, block_no=0,
@@ -208,19 +186,6 @@ def _sample_sst(n=40, bloom=10, with_tombstones=False):
     )
 
 
-def test_v1_container_still_loads():
-    sst = _sample_sst()
-    clone = SSTable.from_bytes(sst.to_bytes(format_version=1))
-    assert clone.file_id == sst.file_id
-    assert clone.fingerprint == sst.fingerprint
-    assert list(clone.iter_entries()) == list(sst.iter_entries())
-    assert all(block.format == 1 for block in clone.blocks)
-    # The v1 container carries no serialized bloom; it is rebuilt.
-    assert clone.bloom is not None
-    for key, _ in sst.iter_entries():
-        assert clone.bloom.may_contain(key)
-
-
 def test_v2_container_preserves_bloom_bits_exactly():
     sst = _sample_sst()
     clone = SSTable.from_bytes(sst.to_bytes())
@@ -230,14 +195,13 @@ def test_v2_container_preserves_bloom_bits_exactly():
     assert clone.bloom.count == sst.bloom.count
 
 
-def test_live_entry_count_survives_both_formats():
+def test_live_entry_count_survives_reopen():
     sst = _sample_sst(with_tombstones=True)
     expected = sst.audit_live_entry_count()
     assert sst.live_entry_count() == expected
-    for version in (1, 2):
-        clone = SSTable.from_bytes(sst.to_bytes(format_version=version))
-        assert clone.live_entry_count() == expected
-        assert clone.audit_live_entry_count() == expected
+    clone = SSTable.from_bytes(sst.to_bytes())
+    assert clone.live_entry_count() == expected
+    assert clone.audit_live_entry_count() == expected
 
 
 def test_bloom_roundtrip_bytes():
@@ -363,7 +327,7 @@ def test_multi_get_empty_and_memtable_only():
 
 
 def _block(no):
-    payload = _encode_entries([(b"k%d" % no, b"v")])
+    payload, _ = _encode_entries([(b"k%d" % no, b"v")])
     return Block(
         payload=payload, first_key=b"k", last_key=b"k",
         owner_fingerprint=99, block_no=no,
@@ -447,17 +411,15 @@ def test_memtable_entries_from_streams_sorted_suffix():
     assert list(table.entries_from(b"z")) == []
 
 
-# -- durable stores across container formats ----------------------------------
+# -- durable reopen -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_durable_reopen_across_formats(version):
+def test_durable_reopen_serves_reads():
     storage = SimulatedStorage(seed=5)
     options = Options(
         memtable_entries=8,
         block_entries=4,
         bloom_bits_per_key=10,
-        sst_format_version=version,
     )
     db = MiniRocks.open(storage, options=options, rng=random.Random(5))
     expected = {}
@@ -478,10 +440,3 @@ def test_durable_reopen_across_formats(version):
     assert reopened.multi_get(sorted(expected)) == [
         expected[key] for key in sorted(expected)
     ]
-
-
-def test_sst_format_version_validated():
-    with pytest.raises(Exception):
-        Options(sst_format_version=3)
-    with pytest.raises(KVStoreError):
-        _sample_sst().to_bytes(format_version=7)
