@@ -191,15 +191,6 @@ def _parse_chaos(args: argparse.Namespace):
     return tuple(events)
 
 
-def _parse_write_mode(text):
-    """Map the ``--write-mode`` flag to a WriteMode, or None (in-memory)."""
-    if text is None:
-        return None
-    from repro.kvstore.wal import WriteMode
-
-    return WriteMode(text)
-
-
 def _parse_addr(text: str):
     """Split ``HOST:PORT`` (IPv6 hosts use the last colon)."""
     host, sep, port = text.rpartition(":")
@@ -211,23 +202,60 @@ def _parse_addr(text: str):
         raise ReproError(f"--addr port must be an integer, got {port!r}")
 
 
+def _deployment(args: argparse.Namespace):
+    """The shard target factory the deployment flags describe, and a
+    one-line label for it; shared by ``kv`` and ``serve``."""
+    from repro.kvstore.options import Options
+    from repro.kvstore.wal import WriteMode
+    from repro.workloads.driver import (
+        cluster_target_factory,
+        store_target_factory,
+    )
+
+    durable = args.write_mode is not None
+    extra = {"write_mode": WriteMode(args.write_mode)} if durable else {}
+
+    def options() -> Options:
+        return Options(
+            id_algorithm=args.algorithm,
+            id_universe=args.id_universe,
+            **extra,
+        )
+
+    if args.target == "cluster":
+        factory = cluster_target_factory(
+            args.nodes,
+            options,
+            replication_factor=args.replication,
+            read_quorum=args.read_quorum,
+            durable=durable,
+        )
+        label = f"cluster, nodes={args.nodes} rf={args.replication}"
+    else:
+        if args.replication != 1 or args.read_quorum is not None:
+            raise ReproError(
+                "--replication/--read-quorum need --target cluster"
+            )
+        factory = store_target_factory(options, durable=durable)
+        label = "store"
+    if durable:
+        label += f", write-mode={args.write_mode}"
+    return factory, label
+
+
 def _cmd_kv(args: argparse.Namespace) -> int:
     """Drive a YCSB workload through the WorkloadDriver."""
     import json
 
-    from repro.distributed.cluster import majority
+    from repro.distributed.cluster import resolve_quorums
     from repro.distributed.rpc import (
         network_flush_and_report,
         network_target_factory,
     )
-    from repro.kvstore.options import Options
     from repro.workloads.driver import (
         DriverConfig,
         WorkloadDriver,
-        cluster_target_factory,
         flush_and_report,
-        store_target_factory,
-        validate_chaos_schedule,
     )
     from repro.workloads.ycsb import WorkloadSpec
 
@@ -240,28 +268,11 @@ def _cmd_kv(args: argparse.Namespace) -> int:
         max_scan_length=args.scan_length,
     )
 
-    write_mode = _parse_write_mode(args.write_mode)
-    durable = write_mode is not None
-
-    def options() -> Options:
-        extra = {"write_mode": write_mode} if durable else {}
-        return Options(
-            id_algorithm=args.algorithm,
-            id_universe=args.id_universe,
-            **extra,
-        )
-
     autoscaler_cfg = None
     if args.autoscale or args.arrival != "static":
         from repro.distributed.autoscaler import AutoscalerConfig
         from repro.workloads.demand import make_arrival
 
-        if args.autoscale and args.target != "cluster":
-            raise ReproError(
-                "--autoscale needs --target cluster (membership "
-                "changes are in-process); --arrival alone still works "
-                "on any target as monitor-only SLO accounting"
-            )
         knobs = {}
         for name in (
             "period", "amplitude", "flash_at", "flash_ticks",
@@ -300,93 +311,61 @@ def _cmd_kv(args: argparse.Namespace) -> int:
         )
 
     chaos = _parse_chaos(args)
-    if args.kill_mode == "crash":
-        if not durable:
-            raise ReproError(
-                "--kill-mode crash drops unsynced state, which needs "
-                "durable simulated storage: add --write-mode "
-                "{nosync,batch,sync}"
-            )
-        if args.target == "network":
-            raise ReproError(
-                "--kill-mode crash needs an in-process durable fleet "
-                "(--target cluster); the network server only supports "
-                "outage kills"
-            )
-    # Pre-flight the schedule's internal consistency (a recover at or
-    # before its kill tick would silently no-op or crash mid-run) for
-    # every fault-injectable target, before any load phase runs.
-    if chaos:
-        validate_chaos_schedule(chaos)
-    # The resolved quorums (majority defaults applied) — computed once
-    # and used by the pre-flight check, the JSON echo, and the human
-    # summary, so the three can never drift.
-    read_q = (
-        args.read_quorum
-        if args.read_quorum is not None
-        else majority(args.replication)
-    )
-    write_q = majority(args.replication)
-    if args.target == "cluster":
-        # Pre-flight the chaos schedule so misconfigurations fail
-        # before the load phase, not 90% into the run.
-        if chaos:
-            for event in chaos:
-                if event.node >= args.nodes:
-                    raise ReproError(
-                        f"chaos event targets node {event.node} but "
-                        f"--nodes is {args.nodes}"
-                    )
-        if any(event.action == "kill" for event in chaos):
-            # With one node dead a quorum op needs RF-1 >= max(R, W)
-            # live replicas on every preference list, which the
-            # defaults only satisfy from RF=3 (W is always the
-            # majority of RF).
-            if args.replication - 1 < max(read_q, write_q):
-                raise ReproError(
-                    f"a --kill-at schedule with --replication "
-                    f"{args.replication} makes quorum loss certain "
-                    f"(RF-1 live replicas < R/W); use --replication 3 "
-                    f"or higher to tolerate a node death"
-                )
-        factory = cluster_target_factory(
-            args.nodes,
-            options,
-            replication_factor=args.replication,
-            read_quorum=args.read_quorum,
-            durable=durable,
-        )
-        collect = flush_and_report
-    elif args.target == "network":
+    # The full resolved deployment rides along in the JSON so the
+    # uploaded artifact is self-describing and reproducible.
+    deployment = {
+        "target": args.target,
+        "algorithm": args.algorithm,
+        "id_universe": args.id_universe,
+        # "memory" = no durable storage layer (the default); otherwise
+        # the group-commit WriteMode driven.
+        "write_mode": args.write_mode or "memory",
+    }
+    collect = None
+    if args.target == "network":
         if args.addr is None:
             raise ReproError("--target network needs --addr HOST:PORT")
-        if args.replication != 1 or args.read_quorum is not None or durable:
+        if (
+            args.replication != 1
+            or args.read_quorum is not None
+            or args.write_mode is not None
+        ):
             raise ReproError(
                 "--replication/--read-quorum/--write-mode configure the "
                 "deployment; with --target network they belong on the "
                 "`uuidp serve` command line, not the client"
             )
-        if args.rebalance_every is not None:
-            raise ReproError(
-                "--rebalance-every is not supported over --target "
-                "network (the balancer runs inside the server)"
-            )
         host, port = _parse_addr(args.addr)
-        # Chaos schedules ARE supported: kill/recover travel as RPC
-        # admin ops to the connection's server-side target. Node
-        # bounds are checked by the server (it owns --nodes).
         factory = network_target_factory(
             host, port, timeout=args.op_timeout
         )
         collect = network_flush_and_report
+        deployment.update(addr=args.addr, op_timeout=args.op_timeout)
     else:
-        if args.replication != 1 or args.read_quorum is not None or chaos:
+        factory, _ = _deployment(args)
+    if args.target == "cluster":
+        read_q, write_q = resolve_quorums(
+            args.nodes, args.replication, args.read_quorum
+        )
+        # With one node dead a quorum op needs RF-1 >= max(R, W) live
+        # replicas on every preference list, which the defaults only
+        # satisfy from RF=3 (W is always the majority of RF).
+        if any(event.action == "kill" for event in chaos) and (
+            args.replication - 1 < max(read_q, write_q)
+        ):
             raise ReproError(
-                "--replication/--read-quorum/--kill-at/--recover-at "
-                "need --target cluster or network"
+                f"a --kill-at schedule with --replication "
+                f"{args.replication} makes quorum loss certain "
+                f"(RF-1 live replicas < R/W); use --replication 3 "
+                f"or higher to tolerate a node death"
             )
-        factory = store_target_factory(options, durable=durable)
-        collect = None
+        collect = flush_and_report
+        deployment.update(
+            nodes=args.nodes,
+            replication_factor=args.replication,
+            read_quorum=read_q,
+            write_quorum=write_q,
+        )
     config = DriverConfig(
         spec=spec,
         shards=args.shards,
@@ -398,95 +377,61 @@ def _cmd_kv(args: argparse.Namespace) -> int:
         autoscaler=autoscaler_cfg,
     )
     result = WorkloadDriver(factory, config, collect=collect).run()
+    payload = result.to_dict()
+    payload["config"].update(deployment)
+    # Per-shard target reports: ClusterReport.to_dict() in process, the
+    # same dict off the REPORT RPC over the network.
+    collected = [s.collected for s in result.shard_results]
+    if args.target == "cluster":
+        payload["cluster"] = [report.to_dict() for report in collected]
+    elif args.target == "network":
+        payload["server"] = collected
     if args.json:
-        payload = result.to_dict()
-        # The full resolved deployment config rides along so the
-        # uploaded artifact is self-describing and reproducible.
-        payload["config"].update(
-            {
-                "target": args.target,
-                "algorithm": args.algorithm,
-                "id_universe": args.id_universe,
-                # "memory" = no durable storage layer (the default);
-                # otherwise the group-commit WriteMode driven.
-                "write_mode": args.write_mode or "memory",
-            }
-        )
-        if args.target == "cluster":
-            payload["config"].update(
-                {
-                    "nodes": args.nodes,
-                    "replication_factor": args.replication,
-                    # The *resolved* quorums (majority default
-                    # applied), not the raw flags — the artifact must
-                    # not require re-deriving defaults to be
-                    # reproducible.
-                    "read_quorum": read_q,
-                    "write_quorum": write_q,
-                }
-            )
-            payload["cluster"] = [
-                {
-                    "corrupt_block_reads": s.collected.corrupt_block_reads,
-                    "corrupt_results": s.collected.corrupt_results,
-                    "migrations": s.collected.migrations,
-                    "cache_hit_rate": s.collected.cache_hit_rate,
-                    "id_collisions": s.collected.audit.collision_count,
-                    "dead_nodes": s.collected.dead_nodes,
-                    "hints_outstanding": s.collected.hints_outstanding,
-                    "hints_replayed": s.collected.hints_replayed,
-                    "read_repairs": s.collected.read_repairs,
-                }
-                for s in result.shard_results
-            ]
-        elif args.target == "network":
-            payload["config"].update(
-                {"addr": args.addr, "op_timeout": args.op_timeout}
-            )
-            # Per-shard server-side reports (dicts straight off the
-            # REPORT RPC; cluster- or store-shaped depending on what
-            # the server wraps).
-            payload["server"] = [
-                s.collected for s in result.shard_results
-            ]
         print(json.dumps(payload, indent=2))
-        return 0
-    summary = result.histogram.summary()
+    else:
+        _print_kv_summary(payload)
+    return 0
+
+
+def _print_kv_summary(payload: dict) -> None:
+    """Render a ``uuidp kv --json`` payload as the human summary."""
+    config = payload["config"]
     print(
-        f"workload {spec.workload.upper()} x {args.target}: "
-        f"{result.operations} ops over {config.shards} shard(s), "
-        f"workers={config.workers}, seed={config.seed}"
+        f"workload {payload['workload'].upper()} x {config['target']}: "
+        f"{payload['operations']} ops over {payload['shards']} shard(s), "
+        f"workers={payload['workers']}, seed={config['seed']}"
     )
     print(
-        f"  throughput  {result.ops_per_second:,.0f} ops/s "
-        f"({result.measured_elapsed_seconds:.2f}s measured, "
-        f"{result.elapsed_seconds:.2f}s total)"
+        f"  throughput  {payload['ops_per_second']:,.0f} ops/s "
+        f"({payload['measured_elapsed_seconds']:.2f}s measured, "
+        f"{payload['elapsed_seconds']:.2f}s total)"
     )
     print(
-        f"  latency     p50 {summary['p50_us']:.1f} us | "
-        f"p95 {summary['p95_us']:.1f} us | p99 {summary['p99_us']:.1f} us "
-        f"| max {summary['max_us']:.1f} us"
+        f"  latency     p50 {payload['p50_us']:.1f} us | "
+        f"p95 {payload['p95_us']:.1f} us | p99 {payload['p99_us']:.1f} us "
+        f"| max {payload['max_us']:.1f} us"
     )
     mix = " ".join(
-        f"{op}={count}" for op, count in sorted(result.op_counts.items())
+        f"{op}={count}" for op, count in sorted(payload["op_counts"].items())
     )
     print(f"  op mix      {mix}")
-    if result.op_errors:
+    if payload["op_errors"]:
         errors = " ".join(
             f"{op}={count}"
-            for op, count in sorted(result.op_errors.items())
+            for op, count in sorted(payload["op_errors"].items())
         )
         print(
             f"  op errors   {errors} "
-            f"(timeouts={result.timeouts}; failed ops hash a fixed "
+            f"(timeouts={payload['timeouts']}; failed ops hash a fixed "
             "marker into the fingerprint)"
         )
-    print(f"  fingerprint {result.fingerprint:#010x} (bit-identical at any --workers)")
-    elasticity = result.elasticity
+    print(f"  fingerprint {payload['fingerprint']:#010x} (bit-identical at any --workers)")
+    elasticity = payload.get("elasticity")
     if elasticity is not None:
+        scaler = config["autoscaler"]
         print(
-            f"  elasticity  arrival={args.arrival} "
-            f"slo p99<={args.slo_p99_ms:g}ms | modeled violations "
+            f"  elasticity  arrival={scaler['arrival']['kind']} "
+            f"slo p99<={scaler['slo_p99_ms']:g}ms | modeled violations "
             f"{elasticity['slo_violation_fraction']:.1%} | "
             f"shed {elasticity['shed_ops']}"
         )
@@ -497,62 +442,36 @@ def _cmd_kv(args: argparse.Namespace) -> int:
                 f"schedule {elasticity['schedule_fingerprint']:#010x} "
                 "(bit-identical at any --workers)"
             )
-    if durable:
+    if config["write_mode"] != "memory":
         print(
-            f"  durability  write-mode={args.write_mode} "
+            f"  durability  write-mode={config['write_mode']} "
             f"(acked writes survive crash-restart; see --kill-mode)"
         )
-    if args.target == "network":
-        report = result.shard_results[0].collected or {}
-        if report.get("kind") == "cluster":
-            collisions = sum(
-                s.collected.get("id_collisions", 0)
-                for s in result.shard_results
-            )
-            dead = sum(
-                s.collected.get("dead_nodes", 0)
-                for s in result.shard_results
-            )
-            replayed = sum(
-                s.collected.get("hints_replayed", 0)
-                for s in result.shard_results
-            )
-            print(
-                f"  server      cluster-backed | id collisions={collisions} "
-                f"dead nodes={dead} hints replayed={replayed}"
-            )
-        else:
-            print(f"  server      {report.get('kind', 'unknown')}-backed")
-    if args.target == "cluster":
-        collisions = sum(
-            s.collected.audit.collision_count for s in result.shard_results
-        )
-        corrupt = sum(
-            s.collected.corrupt_block_reads for s in result.shard_results
-        )
-        migrations = sum(
-            s.collected.migrations for s in result.shard_results
-        )
+    reports = payload.get("cluster") or payload.get("server") or []
+    clusters = [report for report in reports if report["kind"] == "cluster"]
+    if not clusters:
+        if reports:
+            print(f"  server      {reports[0]['kind']}-backed")
+        return
+
+    def total(key: str) -> int:
+        return sum(report[key] for report in clusters)
+
+    print(
+        f"  cluster     id collisions={total('id_collisions')} "
+        f"corrupt block reads={total('corrupt_block_reads')} "
+        f"migrations={total('migrations')}"
+    )
+    # A network client does not know the server's RF, so it always
+    # prints the replication counters, without the quorum settings.
+    rf = config.get("replication_factor")
+    if rf is None or rf > 1 or config["chaos"]:
+        quorums = "" if rf is None else f"RF={rf} R={config['read_quorum']} | "
         print(
-            f"  cluster     id collisions={collisions} "
-            f"corrupt block reads={corrupt} migrations={migrations}"
+            f"  replication {quorums}read repairs={total('read_repairs')} "
+            f"hints replayed={total('hints_replayed')} "
+            f"dead nodes={total('dead_nodes')}"
         )
-        if args.replication > 1 or chaos:
-            repairs = sum(
-                s.collected.read_repairs for s in result.shard_results
-            )
-            replayed = sum(
-                s.collected.hints_replayed for s in result.shard_results
-            )
-            dead = sum(
-                s.collected.dead_nodes for s in result.shard_results
-            )
-            print(
-                f"  replication RF={args.replication} R={read_q} | "
-                f"read repairs={repairs} hints replayed={replayed} "
-                f"dead nodes={dead}"
-            )
-    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -560,47 +479,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.distributed.rpc import RPCServer
-    from repro.kvstore.options import Options
-    from repro.workloads.driver import (
-        cluster_target_factory,
-        store_target_factory,
-    )
 
-    write_mode = _parse_write_mode(args.write_mode)
-    durable = write_mode is not None
-
-    def options() -> Options:
-        extra = {"write_mode": write_mode} if durable else {}
-        return Options(
-            id_algorithm=args.algorithm,
-            id_universe=args.id_universe,
-            **extra,
-        )
-
-    if args.target == "cluster":
-        factory = cluster_target_factory(
-            args.nodes,
-            options,
-            replication_factor=args.replication,
-            read_quorum=args.read_quorum,
-            durable=durable,
-        )
-        deployment = (
-            f"cluster, nodes={args.nodes} rf={args.replication}"
-        )
-    else:
-        if args.replication != 1 or args.read_quorum is not None:
-            raise ReproError(
-                "--replication/--read-quorum need --target cluster"
-            )
-        factory = store_target_factory(options, durable=durable)
-        deployment = "store"
-    if durable:
-        deployment += f", write-mode={args.write_mode}"
+    factory, deployment = _deployment(args)
     server = RPCServer(
         factory,
         max_frame=args.max_frame,
-        executor_workers=args.executor_threads,
         write_buffer_high=args.write_buffer,
     )
 
@@ -769,6 +652,31 @@ def _add_plan_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_deployment_options(parser: argparse.ArgumentParser) -> None:
+    """The flags describing each shard's target, shared by kv and serve."""
+    parser.add_argument("--nodes", type=int, default=4, help="cluster target: fleet size")
+    parser.add_argument(
+        "--replication", type=int, default=1, metavar="RF",
+        help="cluster target: copies per key (writes go to the key's "
+        "RF ring successors)",
+    )
+    parser.add_argument(
+        "--read-quorum", type=int, default=None, metavar="R",
+        help="cluster target: live replicas a read must reach "
+        "(default: majority of RF); stale replicas lose last-write-wins "
+        "and get read-repaired",
+    )
+    parser.add_argument(
+        "--write-mode", choices=["nosync", "batch", "sync"], default=None,
+        help="run each store on durable simulated storage with this "
+        "group-commit policy (nosync: fsync only at flush; batch: "
+        "adaptive group commit; sync: fsync every write); default is "
+        "the in-memory store",
+    )
+    parser.add_argument("--algorithm", default="cluster", help="file-ID algorithm")
+    parser.add_argument("--id-universe", type=int, default=1 << 64)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -870,21 +778,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="concurrent shard executors (results bit-identical for any N)",
     )
-    kv.add_argument("--nodes", type=int, default=4, help="cluster target: fleet size")
+    _add_deployment_options(kv)
     kv.add_argument(
         "--rebalance-every", type=int, default=None, metavar="K",
         help="cluster target: migrate SSTs after every K ops",
-    )
-    kv.add_argument(
-        "--replication", type=int, default=1, metavar="RF",
-        help="cluster target: copies per key (writes go to the key's "
-        "RF ring successors)",
-    )
-    kv.add_argument(
-        "--read-quorum", type=int, default=None, metavar="R",
-        help="cluster target: live replicas a read must reach "
-        "(default: majority of RF); stale replicas lose last-write-wins "
-        "and get read-repaired",
     )
     kv.add_argument(
         "--kill-at", action="append", default=None, metavar="OP[:NODE]",
@@ -901,13 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="what --kill-at simulates: a clean outage (state intact, "
         "default) or a process crash (memtable lost, WAL replayed on "
         "recovery; needs --write-mode)",
-    )
-    kv.add_argument(
-        "--write-mode", choices=["nosync", "batch", "sync"], default=None,
-        help="run each store on durable simulated storage with this "
-        "group-commit policy (nosync: fsync only at flush; batch: "
-        "adaptive group commit; sync: fsync every write); default is "
-        "the in-memory store",
     )
     kv.add_argument(
         "--arrival", choices=["static", "diurnal", "flash", "poisson"],
@@ -981,8 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission control: shed ops whose modeled queue delay "
         "exceeds this (the saturation pressure valve)",
     )
-    kv.add_argument("--algorithm", default="cluster", help="file-ID algorithm")
-    kv.add_argument("--id-universe", type=int, default=1 << 64)
     kv.add_argument("--seed", type=int, default=0)
     kv.add_argument("--json", action="store_true", help="emit the bench JSON schema")
 
@@ -1001,23 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="what each client shard attaches to: a private MiniRocks "
         "or a private ClusterSimulator fleet",
     )
-    serve.add_argument("--nodes", type=int, default=4, help="cluster target: fleet size")
-    serve.add_argument(
-        "--replication", type=int, default=1, metavar="RF",
-        help="cluster target: copies per key",
-    )
-    serve.add_argument(
-        "--read-quorum", type=int, default=None, metavar="R",
-        help="cluster target: live replicas a read must reach "
-        "(default: majority of RF)",
-    )
-    serve.add_argument(
-        "--write-mode", choices=["nosync", "batch", "sync"], default=None,
-        help="back each served store with durable simulated storage "
-        "under this group-commit policy; default is the in-memory store",
-    )
-    serve.add_argument("--algorithm", default="cluster", help="file-ID algorithm")
-    serve.add_argument("--id-universe", type=int, default=1 << 64)
+    _add_deployment_options(serve)
     serve.add_argument(
         "--max-frame", type=int, default=1 << 20,
         help="frame-size cap in bytes; larger length prefixes close "
@@ -1028,11 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-connection response buffer high-water mark in bytes "
         "(the slow-client bound: past it the server stops reading that "
         "connection until the client drains)",
-    )
-    serve.add_argument(
-        "--executor-threads", type=int, default=4,
-        help="storage-op thread pool size (per-connection ops stay "
-        "strictly ordered regardless)",
     )
 
     compare = sub.add_parser(

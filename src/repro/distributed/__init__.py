@@ -39,7 +39,6 @@ from repro.distributed.migration import (
 from repro.distributed.node import Node
 from repro.distributed.ring import HashRing
 from repro.distributed.rpc import (
-    ClientPool,
     NetworkTarget,
     RPCClient,
     RPCServer,
@@ -57,7 +56,6 @@ __all__ = [
     "AutoscalerConfig",
     "ScaleEvent",
     "summarize_shards",
-    "ClientPool",
     "MigrationEvent",
     "NetworkTarget",
     "RPCClient",

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
@@ -78,18 +78,6 @@ class ScaleEvent:
     utilization: float
     #: Human-readable cause, e.g. ``"p99 64.0ms > slo 20.0ms x2"``.
     reason: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly view (stable key order for artifacts)."""
-        return {
-            "at_op": self.at_op,
-            "action": self.action,
-            "node": self.node,
-            "nodes_after": self.nodes_after,
-            "p99_ms": self.p99_ms,
-            "utilization": self.utilization,
-            "reason": self.reason,
-        }
 
 
 @dataclass(frozen=True)
@@ -165,34 +153,6 @@ class AutoscalerConfig:
                 "shed_after_ms must be >= slo_p99_ms (shedding is the "
                 "last resort, not the first response)"
             )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly view for result/config echoes."""
-        arrival = self.arrival
-        return {
-            "arrival": {
-                "kind": arrival.kind,
-                "base_rate": arrival.base_rate,
-                "period": arrival.period,
-                "amplitude": arrival.amplitude,
-                "flash_at": arrival.flash_at,
-                "flash_ticks": arrival.flash_ticks,
-                "peak": arrival.peak,
-                "burst_prob": arrival.burst_prob,
-                "burst_ticks": arrival.burst_ticks,
-            },
-            "slo_p99_ms": self.slo_p99_ms,
-            "min_nodes": self.min_nodes,
-            "max_nodes": self.max_nodes,
-            "node_capacity": self.node_capacity,
-            "check_every": self.check_every,
-            "breach_checks": self.breach_checks,
-            "idle_checks": self.idle_checks,
-            "idle_utilization": self.idle_utilization,
-            "target_utilization": self.target_utilization,
-            "shed_after_ms": self.shed_after_ms,
-            "enabled": self.enabled,
-        }
 
 
 class Autoscaler:
@@ -416,7 +376,7 @@ class Autoscaler:
             "modeled_p99_ms": round(
                 self.histogram.percentile(0.99) / 1e6, 3
             ),
-            "scale_events": [e.to_dict() for e in self.events],
+            "scale_events": [asdict(e) for e in self.events],
             "schedule_fingerprint": self.schedule_fingerprint(),
         }
 

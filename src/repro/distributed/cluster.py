@@ -37,8 +37,8 @@ legacy values and lose to any cluster-managed copy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.distributed.migration import (
     MigrationEvent,
@@ -104,6 +104,35 @@ def majority(replication_factor: int) -> int:
     return replication_factor // 2 + 1
 
 
+def resolve_quorums(
+    num_nodes: int,
+    replication_factor: int,
+    read_quorum: Optional[int] = None,
+    write_quorum: Optional[int] = None,
+) -> Tuple[int, int]:
+    """Validate a fleet's replication settings and return the resolved
+    ``(read_quorum, write_quorum)`` (``None`` means a majority of RF).
+
+    Raises :class:`~repro.errors.ConfigurationError` unless
+    ``1 <= RF <= num_nodes`` and both quorums lie in ``[1, RF]``.
+    """
+    if num_nodes < 1:
+        raise ConfigurationError("need >= 1 node")
+    if not 1 <= replication_factor <= num_nodes:
+        raise ConfigurationError(
+            f"replication_factor must be in [1, {num_nodes}]"
+        )
+    default_quorum = majority(replication_factor)
+    read = default_quorum if read_quorum is None else read_quorum
+    write = default_quorum if write_quorum is None else write_quorum
+    for label, quorum in (("read_quorum", read), ("write_quorum", write)):
+        if not 1 <= quorum <= replication_factor:
+            raise ConfigurationError(
+                f"{label} must be in [1, replication_factor]"
+            )
+    return read, write
+
+
 @dataclass
 class ClusterReport:
     """Aggregate health/corruption report after a simulation run."""
@@ -123,11 +152,23 @@ class ClusterReport:
     #: Quorum reads that missed every contacted replica and had to
     #: widen the search (stranded copies after load-policy migration).
     read_escalations: int = 0
+    #: The chaos audit trail: ``(action, node name, operation count)``
+    #: per kill, crash, recover and decommission, in order.
+    fault_events: List[Tuple[str, str, int]] = field(default_factory=list)
 
     @property
     def corrupted(self) -> bool:
         """Did an ID collision manifest anywhere?"""
         return self.audit.collided or self.corrupt_block_reads > 0
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-ready view: ``kind`` plus every field, with the audit
+        reduced to ``id_collisions`` and each fault event as a list (the
+        shape a JSON round trip gives it)."""
+        payload: Dict[str, Any] = {"kind": "cluster", **vars(self)}
+        payload["id_collisions"] = payload.pop("audit").collision_count
+        payload["fault_events"] = [list(event) for event in self.fault_events]
+        return payload
 
 
 class ClusterSimulator:
@@ -174,28 +215,10 @@ class ClusterSimulator:
         vnodes: int = 64,
         durable: bool = False,
     ):
-        if num_nodes < 1:
-            raise ConfigurationError("need >= 1 node")
-        if not 1 <= replication_factor <= num_nodes:
-            raise ConfigurationError(
-                f"replication_factor must be in [1, {num_nodes}]"
-            )
-        default_quorum = majority(replication_factor)
+        self.read_quorum, self.write_quorum = resolve_quorums(
+            num_nodes, replication_factor, read_quorum, write_quorum
+        )
         self.replication_factor = replication_factor
-        self.read_quorum = (
-            default_quorum if read_quorum is None else read_quorum
-        )
-        self.write_quorum = (
-            default_quorum if write_quorum is None else write_quorum
-        )
-        for label, quorum in (
-            ("read_quorum", self.read_quorum),
-            ("write_quorum", self.write_quorum),
-        ):
-            if not 1 <= quorum <= replication_factor:
-                raise ConfigurationError(
-                    f"{label} must be in [1, replication_factor]"
-                )
         self.cache = BlockCache(cache_blocks)
         self.seed = seed
         #: Durable fleets give every node its own fault-injecting
@@ -789,6 +812,7 @@ class ClusterSimulator:
             hints_replayed=self.hints_replayed,
             read_repairs=self.read_repairs,
             read_escalations=self.read_escalations,
+            fault_events=list(self.fault_events),
         )
 
     def total_files_assigned(self) -> int:

@@ -12,23 +12,25 @@ slow clients. Three layers:
     (a :class:`~repro.distributed.cluster.ClusterSimulator` fleet or a
     single MiniRocks) from its configured factory — the same
     ``TargetFactory`` contract the in-process driver uses, which is why
-    a network run reproduces an in-process run bit-for-bit. Storage ops
-    execute on a thread-pool executor so the event loop never blocks on
-    storage; per connection, frames are processed strictly in order
-    (the determinism contract needs ordered execution; pipelining still
-    overlaps client-side RTT). Responses are written under a bounded
-    transport write-buffer high-water mark and ``drain()`` — a client
-    that stops reading stalls *its own* connection via TCP backpressure
-    instead of growing server memory.
+    a network run reproduces an in-process run bit-for-bit. Every op
+    runs directly on the event loop: targets are in-memory (durable
+    ones sit on :class:`~repro.kvstore.storage.SimulatedStorage`, whose
+    fsync is bookkeeping), so an op is microseconds of Python that a
+    thread hop would only add to. Each connection's frames run strictly
+    in order (the determinism contract needs ordered execution;
+    pipelining still overlaps client-side RTT). Responses are written
+    under a bounded transport write-buffer high-water mark and
+    ``drain()`` — a client that stops reading stalls *its own*
+    connection via TCP backpressure instead of growing server memory.
 
-:class:`RPCClient` / :class:`ClientPool`
+:class:`RPCClient`
     The async client: request pipelining over one connection with a
     per-connection in-flight cap (a semaphore — backpressure, not an
     unbounded queue), per-op timeouts that surface as
     :class:`~repro.errors.RPCTimeoutError` (a
     ``ClusterUnavailableError``), and bounded connect retries on a
     **jitterless, deterministic** doubling backoff so test runs are
-    reproducible. The pool round-robins calls over N connections.
+    reproducible.
 
 :class:`NetworkTarget` / :func:`network_target_factory`
     The synchronous facade :class:`~repro.workloads.driver.WorkloadDriver`
@@ -45,8 +47,7 @@ import contextlib
 import itertools
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.distributed.protocol import (
     CODE_TO_OP,
@@ -127,6 +128,10 @@ class _Connection:
 class RPCServer:
     """Asyncio TCP server wrapping per-shard storage targets.
 
+    Target calls (``ATTACH``'s factory call, data ops, kill/recover and
+    reports) run on the event loop itself; each connection's frames
+    still execute strictly in order, one at a time.
+
     Parameters
     ----------
     target_factory:
@@ -136,10 +141,6 @@ class RPCServer:
     max_frame:
         Frame-size cap; a larger length prefix is a protocol error and
         closes the offending connection before any allocation.
-    executor_workers:
-        Thread-pool size for storage ops. Connections execute their own
-        frames strictly in order regardless of this; the pool lets
-        *different* shards' ops overlap.
     write_buffer_high:
         Transport write-buffer high-water mark — the per-connection
         bound on buffered response bytes for a slow client.
@@ -150,15 +151,11 @@ class RPCServer:
         target_factory: Callable[[int, int], Any],
         *,
         max_frame: int = DEFAULT_MAX_FRAME,
-        executor_workers: int = 4,
         write_buffer_high: int = DEFAULT_WRITE_BUFFER_HIGH,
     ) -> None:
         self._target_factory = target_factory
         self.max_frame = max_frame
         self.write_buffer_high = write_buffer_high
-        self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers, thread_name_prefix="uuidp-rpc"
-        )
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: set = set()
         # Observability counters (read by tests and ops alike).
@@ -196,7 +193,6 @@ class RPCServer:
             await self._server.wait_closed()
         for writer in list(self._writers):
             writer.close()
-        self._executor.shutdown(wait=True)
 
     # -- connection handling ------------------------------------------------
 
@@ -251,28 +247,25 @@ class RPCServer:
         caller closes the connection after answering); execution
         failures map to ``STATUS_UNAVAILABLE`` (quorum-class, the
         client re-raises ``ClusterUnavailableError``) or
-        ``STATUS_ERROR`` (everything else).
+        ``STATUS_ERROR`` (everything else). Nothing here awaits, but it
+        stays a coroutine: perfbench's ``ServerFrameProbe`` wraps it by
+        name and awaits it.
         """
-        loop = asyncio.get_running_loop()
         try:
             if code == OP_ATTACH:
                 if conn.target is not None:
                     return STATUS_PROTOCOL, b"connection already attached"
                 shard, shard_seed = decode_attach(body)
-                conn.target = await loop.run_in_executor(
-                    self._executor, self._target_factory, shard, shard_seed
-                )
+                conn.target = self._target_factory(shard, shard_seed)
                 conn.shard = shard
                 return STATUS_OK, b""
             if conn.target is None:
                 return STATUS_PROTOCOL, b"op before ATTACH"
             if code in CODE_TO_OP:
-                op = CODE_TO_OP[code]
                 key, value = decode_kv(body)
-                outcome = await loop.run_in_executor(
-                    self._executor, _execute_op, conn.target, op, key, value
+                return STATUS_OK, _execute_op(
+                    conn.target, CODE_TO_OP[code], key, value
                 )
-                return STATUS_OK, outcome
             if code in (OP_KILL, OP_RECOVER):
                 node = decode_node(body)
                 method = getattr(
@@ -283,12 +276,10 @@ class RPCServer:
                         STATUS_ERROR,
                         b"target is not fault-injectable (no kill/recover)",
                     )
-                await loop.run_in_executor(self._executor, method, node)
+                method(node)
                 return STATUS_OK, b""
             if code == OP_REPORT:
-                payload = await loop.run_in_executor(
-                    self._executor, _report_payload, conn.target
-                )
+                payload = _report_payload(conn.target)
                 return STATUS_OK, json.dumps(payload).encode()
             return STATUS_PROTOCOL, f"unknown op code {code:#04x}".encode()
         except RPCProtocolError as exc:
@@ -307,21 +298,7 @@ def _report_payload(target: Any) -> Dict[str, Any]:
     """
     if hasattr(target, "flush_all"):  # a ClusterSimulator
         target.flush_all()
-        report = target.report()
-        return {
-            "kind": "cluster",
-            "operations": report.operations,
-            "migrations": report.migrations,
-            "id_collisions": report.audit.collision_count,
-            "corrupt_block_reads": report.corrupt_block_reads,
-            "corrupt_results": report.corrupt_results,
-            "cache_hit_rate": report.cache_hit_rate,
-            "dead_nodes": report.dead_nodes,
-            "hints_outstanding": report.hints_outstanding,
-            "hints_replayed": report.hints_replayed,
-            "read_repairs": report.read_repairs,
-            "read_escalations": report.read_escalations,
-        }
+        return target.report().to_dict()
     target.flush()  # a bare MiniRocks store
     stats = target.stats
     return {
@@ -504,63 +481,6 @@ class RPCClient:
             await self._writer.wait_closed()
 
 
-class ClientPool:
-    """N pipelined connections, round-robin dispatch.
-
-    One connection's in-flight cap bounds *its* pipeline; the pool
-    multiplies that by ``size`` for callers that want more concurrency
-    than one socket's window (each connection attaches as its own
-    shard: ``shard_base + i``).
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        size: int = 2,
-        shard_base: int = 0,
-        shard_seed: int = 0,
-        **client_kwargs: Any,
-    ) -> None:
-        if size < 1:
-            raise ConfigurationError("pool size must be >= 1")
-        self.host = host
-        self.port = port
-        self.size = size
-        self.shard_base = shard_base
-        self.shard_seed = shard_seed
-        self._client_kwargs = client_kwargs
-        self._clients: List[RPCClient] = []
-        self._next = itertools.count()
-
-    async def start(self) -> "ClientPool":
-        """Connect and attach all ``size`` clients; returns ``self``."""
-        for index in range(self.size):
-            client = await RPCClient.connect(
-                self.host, self.port, **self._client_kwargs
-            )
-            await client.attach(self.shard_base + index, self.shard_seed)
-            self._clients.append(client)
-        return self
-
-    def client(self) -> RPCClient:
-        """The next pooled client, round-robin."""
-        if not self._clients:
-            raise RPCError("pool not started")
-        return self._clients[next(self._next) % len(self._clients)]
-
-    async def call(self, op: str, key: bytes, value: bytes) -> bytes:
-        """Execute one logical op on the next round-robin client."""
-        return await self.client().call(op, key, value)
-
-    async def aclose(self) -> None:
-        """Close every pooled client connection."""
-        for client in self._clients:
-            await client.aclose()
-        self._clients.clear()
-
-
 # ---------------------------------------------------------------------------
 # Synchronous facade for the workload driver
 # ---------------------------------------------------------------------------
@@ -612,6 +532,10 @@ class NetworkTarget:
     ) -> None:
         self.shard = shard
         self._loop = _LoopThread(f"uuidp-client-shard{shard}")
+        # Everything connect/attach can raise: library errors
+        # (RPCConnectionError and friends), socket failures, and a loop
+        # that refused to start. Release what was opened, then let the
+        # caller see the original failure.
         try:
             self._client = self._loop.run(
                 RPCClient.connect(
@@ -623,13 +547,13 @@ class NetworkTarget:
                     backoff=connect_backoff,
                 )
             )
+        except (ReproError, OSError, RuntimeError):
+            self._loop.stop()
+            raise
+        try:
             self._loop.run(self._client.attach(shard, shard_seed))
         except (ReproError, OSError, RuntimeError):
-            # Everything connect/attach can raise: library errors
-            # (RPCConnectionError and friends), socket failures, and a
-            # loop that refused to start. Stop the thread, then let the
-            # caller see the original failure.
-            self._loop.stop()
+            self.close()
             raise
 
     def execute(self, op: str, key: bytes, value: bytes) -> bytes:

@@ -33,7 +33,7 @@ import random
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -44,7 +44,7 @@ from typing import (
     Tuple,
 )
 
-from repro.distributed.cluster import ClusterSimulator
+from repro.distributed.cluster import ClusterSimulator, resolve_quorums
 from repro.errors import (
     ClusterUnavailableError,
     ConfigurationError,
@@ -214,7 +214,7 @@ def validate_chaos_schedule(events) -> None:
     requires: no kill of an already-dead node, no recover of a node
     that is alive, and every recover strictly after the kill it undoes.
     Raises :class:`~repro.errors.ConfigurationError` with the offending
-    pair spelled out; used by the ``uuidp kv`` pre-flight so
+    pair spelled out; :class:`DriverConfig` calls it, so every run's
     misconfigurations fail before the load phase, not 90% into a run.
     """
     ordered = sorted(events, key=lambda event: event.at_op)
@@ -291,6 +291,7 @@ class DriverConfig:
             raise ConfigurationError("warmup_operations must be >= 0")
         if self.rebalance_every is not None and self.rebalance_every < 1:
             raise ConfigurationError("rebalance_every must be >= 1")
+        validate_chaos_schedule(self.chaos)
         object.__setattr__(
             self,
             "chaos",
@@ -454,7 +455,9 @@ class DriverResult:
         """
         summary = self.histogram.summary()
         spec = self.config.spec
-        autoscaler = self.config.autoscaler
+        config = asdict(self.config)
+        echo = config.pop("spec")
+        echo.update(config, chaos=list(config["chaos"]))
         elasticity = self.elasticity
         extra: Dict[str, Any] = {}
         if elasticity is not None:
@@ -473,35 +476,7 @@ class DriverResult:
             "op_errors": self.op_errors,
             "timeouts": self.timeouts,
             "shed_ops": self.shed_ops,
-            "config": {
-                "workload": spec.workload,
-                "record_count": spec.record_count,
-                "operation_count": spec.operation_count,
-                "value_size": spec.value_size,
-                "zipf_theta": spec.zipf_theta,
-                "uniform": spec.uniform,
-                "max_scan_length": spec.max_scan_length,
-                "shards": self.config.shards,
-                "workers": self.config.workers,
-                "warmup_operations": self.config.warmup_operations,
-                "seed": self.config.seed,
-                "rebalance_every": self.config.rebalance_every,
-                "moves_per_rebalance": self.config.moves_per_rebalance,
-                "chaos": [
-                    {
-                        "at_op": event.at_op,
-                        "action": event.action,
-                        "node": event.node,
-                        "mode": event.mode,
-                    }
-                    for event in self.config.chaos
-                ],
-                "autoscaler": (
-                    autoscaler.to_dict()
-                    if autoscaler is not None
-                    else None
-                ),
-            },
+            "config": echo,
             **summary,
             **extra,
         }
@@ -603,10 +578,12 @@ def cluster_target_factory(
     """Each shard drives a private :class:`ClusterSimulator` fleet.
 
     ``replication_factor``/``read_quorum``/``write_quorum`` configure
-    quorum replication (defaults: single-copy, majority quorums);
+    quorum replication (defaults: single-copy, majority quorums) and are
+    validated here, before any shard runs;
     ``durable=True`` gives every node fault-injecting storage so chaos
     schedules may use ``mode="crash"`` kills.
     """
+    resolve_quorums(num_nodes, replication_factor, read_quorum, write_quorum)
 
     def factory(shard: int, shard_seed: int) -> ClusterSimulator:
         return ClusterSimulator(
@@ -650,10 +627,6 @@ class WorkloadDriver:
         self.config = config
         self.collect = collect
 
-    # -- op execution -------------------------------------------------------
-
-    _execute = staticmethod(execute_op)
-
     # -- shard execution ----------------------------------------------------
 
     def _run_shard(self, shard: int) -> ShardResult:
@@ -663,17 +636,38 @@ class WorkloadDriver:
         rng = random.Random(derive_seed(shard_seed, _STREAM_LABEL))
         spec = config.spec
         rebalance_every = config.rebalance_every
-        can_rebalance = (
-            rebalance_every is not None
-            and hasattr(target, "rebalance")
-            and len(getattr(target, "nodes", ())) >= 2
-        )
         chaos = config.chaos
+        # Pre-flight: every check that needs the built target runs here,
+        # before the load phase, so a misconfigured run fails at once.
         if chaos and not hasattr(target, "kill"):
             raise ConfigurationError(
                 "chaos schedules need a fault-injectable target "
                 "(a ClusterSimulator); store targets have no kill()"
             )
+        nodes = getattr(target, "nodes", None)
+        for event in chaos:
+            if nodes is not None and event.node >= len(nodes):
+                raise ConfigurationError(
+                    f"chaos event targets node {event.node} but the "
+                    f"target has {len(nodes)} node(s)"
+                )
+            if (
+                event.action == "kill"
+                and event.mode == "crash"
+                and not getattr(target, "durable", False)
+            ):
+                raise ConfigurationError(
+                    "chaos kill mode='crash' drops unsynced state, which "
+                    "needs an in-process durable cluster target "
+                    "(durable=True, i.e. --write-mode); other targets "
+                    "only support outage kills"
+                )
+        if rebalance_every is not None and not hasattr(target, "rebalance"):
+            raise ConfigurationError(
+                "rebalance_every needs a target with rebalance() (a "
+                "ClusterSimulator); store and network targets have none"
+            )
+        can_rebalance = rebalance_every is not None and len(nodes or ()) >= 2
         scaler = None
         if config.autoscaler is not None:
             # Deferred import: autoscaler.py imports demand from this
@@ -695,14 +689,7 @@ class WorkloadDriver:
             ):
                 event = chaos[chaos_index]
                 if event.action == "kill":
-                    if event.mode == "crash":
-                        # Crash kills are opt-in per event; the plain
-                        # call keeps outage semantics working against
-                        # targets whose kill() has no mode parameter
-                        # (e.g. the network RPC target).
-                        target.kill(event.node, mode="crash")
-                    else:
-                        target.kill(event.node)
+                    target.kill(event.node, mode=event.mode)
                 else:
                     target.recover(event.node)
                 chaos_index += 1
@@ -726,7 +713,7 @@ class WorkloadDriver:
             """
             nonlocal timeouts
             try:
-                return self._execute(target, op, key, value)
+                return execute_op(target, op, key, value)
             except ClusterUnavailableError as exc:
                 op_errors[op] = op_errors.get(op, 0) + 1
                 if isinstance(exc, RPCTimeoutError):
@@ -740,7 +727,7 @@ class WorkloadDriver:
         for op, key, value in load_phase(spec, rng):
             if scaler is not None:
                 scaler.observe_op(op_index + 1, "load")
-            self._execute(target, op, key, value)
+            execute_op(target, op, key, value)
             tick()
         # Phases 2+3 continue one stream: warmup ops are executed and
         # discarded, the rest are measured.

@@ -2,6 +2,8 @@
 autoscaler's control loop (scale-up, hint-safe scale-down, shedding),
 and the workers-invariance / same-seed identity contracts."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.distributed import Autoscaler, AutoscalerConfig, ClusterSimulator
@@ -104,7 +106,7 @@ class TestArrivalProcess:
 class TestAutoscalerConfig:
     def test_defaults_validate(self):
         config = AutoscalerConfig()
-        assert config.to_dict()["slo_p99_ms"] == 20.0
+        assert asdict(config)["slo_p99_ms"] == 20.0
 
     def test_shed_threshold_must_cover_the_slo(self):
         with pytest.raises(ConfigurationError):
@@ -240,7 +242,7 @@ class TestControlLoop:
         assert scaler.schedule_fingerprint() != empty
         summary = scaler.summary()
         assert summary["scale_events"] == [
-            e.to_dict() for e in scaler.events
+            asdict(e) for e in scaler.events
         ]
 
 

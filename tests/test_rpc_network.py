@@ -31,7 +31,6 @@ from repro.distributed.protocol import (
     encode_kv,
 )
 from repro.distributed.rpc import (
-    ClientPool,
     NetworkTarget,
     RPCClient,
     ServerThread,
@@ -55,6 +54,7 @@ from repro.workloads.driver import (
     WorkloadDriver,
     cluster_target_factory,
     execute_op,
+    flush_and_report,
     store_target_factory,
 )
 from repro.workloads.ycsb import WorkloadSpec, load_phase, run_phase
@@ -169,38 +169,45 @@ class TestClientServerBasics:
             # down the shard's private loop thread.
             assert not target._loop._thread.is_alive()
 
-    def test_pool_round_robins_and_pipelines(self):
+    def test_client_pipelines_concurrent_calls(self):
         with ServerThread(store_target_factory(store_options)) as handle:
             host, port = handle.address
 
             async def scenario():
-                pool = await ClientPool(
-                    host, port, size=3, shard_base=10, shard_seed=5
-                ).start()
+                client = await RPCClient.connect(host, port, max_in_flight=8)
                 try:
-                    # Concurrent pipelined puts across the pool; each
-                    # connection's target is private, so every shard
-                    # sees its own keyspace.
+                    await client.attach(10, 5)
+                    # Concurrent calls share one connection, up to
+                    # max_in_flight of them on the wire at once.
                     outcomes = await asyncio.gather(
-                        *[pool.call("put", b"k%d" % i, b"v") for i in range(30)]
+                        *[client.call("put", b"k%d" % i, b"v") for i in range(30)]
                     )
                     assert outcomes == [b"\x02"] * 30
                 finally:
-                    await pool.aclose()
+                    await client.aclose()
 
             asyncio.run(scenario())
-            assert handle.server.connections_opened == 3
-            # 3 attaches + 30 puts; the counter increments just after
+            assert handle.server.connections_opened == 1
+            # 1 attach + 30 puts; the counter increments just after
             # each drain(), so give the server loop a beat to catch up.
             deadline = time.time() + 5
-            while handle.server.frames_served < 33 and time.time() < deadline:
+            while handle.server.frames_served < 31 and time.time() < deadline:
                 time.sleep(0.01)
-            assert handle.server.frames_served == 33
+            assert handle.server.frames_served == 31
 
-    def test_pool_and_client_validation(self):
-        with pytest.raises(ConfigurationError):
-            ClientPool("h", 1, size=0)
+    def test_failed_attach_closes_the_connection(self):
+        def broken_factory(shard, seed):
+            raise ValueError("no target for you")
 
+        with ServerThread(broken_factory) as handle:
+            with pytest.raises(RPCError, match="no target for you"):
+                NetworkTarget(*handle.address, shard=0, shard_seed=0)
+            deadline = time.time() + 2
+            while handle.server._writers and time.time() < deadline:
+                time.sleep(0.01)
+            assert not handle.server._writers, "attach failure leaked a connection"
+
+    def test_client_validation(self):
         async def bad_in_flight():
             reader = asyncio.StreamReader()
             RPCClient(reader, None, max_in_flight=0)
@@ -360,6 +367,13 @@ class TestChaosOverRPC:
         assert report["dead_nodes"] == 0
         assert report["hints_replayed"] > 0
         assert report["hints_outstanding"] == 0
+        assert [event[:2] for event in report["fault_events"]] == [
+            ["kill", "node0"], ["recover", "node0"],
+        ]
+        local = WorkloadDriver(
+            factory, config, collect=lambda sim: flush_and_report(sim).to_dict()
+        ).run()
+        assert local.shard_results[0].collected == report
 
     def test_kill_against_store_target_is_an_error_not_a_crash(self):
         with ServerThread(store_target_factory(store_options)) as handle:
@@ -655,9 +669,34 @@ class TestServeCLI:
             assert net["fingerprint"] == local["fingerprint"]
             assert net["config"]["addr"] == addr
             assert [s["kind"] for s in net["server"]] == ["cluster"] * 2
+            # One report shape: the REPORT frame and the in-process
+            # collect both come from ClusterReport.to_dict().
+            assert net["server"] == local["cluster"]
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--replication", "5"],
+            ["--replication", "3", "--read-quorum", "4"],
+        ],
+    )
+    def test_serve_rejects_impossible_deployment_before_binding(self, flags):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                "--target", "cluster", "--nodes", "4", *flags,
+            ],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2
+        assert "listening" not in proc.stdout
+        assert "must be in" in proc.stderr
 
     def test_kv_network_rejects_cluster_only_flags(self, capsys):
         from repro.cli import main
