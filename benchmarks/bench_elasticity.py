@@ -31,8 +31,6 @@ surge inside the measured phase.
 
 import os
 
-import pytest
-
 from repro.distributed.autoscaler import AutoscalerConfig
 from repro.kvstore.options import Options
 from repro.workloads.demand import ArrivalProcess

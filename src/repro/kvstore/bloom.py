@@ -8,12 +8,19 @@ This is the same construction RocksDB's full-filter blocks use.
 Two probe backends share one bit layout:
 
 * ``python`` — the portable loop over a ``bytearray``.
-* ``numpy`` — batch ``add_hashes``/``may_contain_hashes`` compute every
+* ``numpy`` — batch ``add_all``/``may_contain_hashes`` compute every
   probe position of a whole key batch as one ``(keys, probes)`` uint64
   array op over the *same* bit array (the numpy view aliases the
   ``bytearray``), so membership answers are **bit-identical** between
   backends; only wall-clock differs. Without numpy installed the class
-  degrades to the python loop (the PR-2 engine-fallback pattern).
+  degrades to the python loop.
+
+``add_all`` is the SST builder's path, run once per key on every flush
+and compaction output. Under numpy it hashes the whole batch into one
+packed buffer of 16-byte blake2b digests and reads ``(h1, h2)`` straight
+out of it with ``np.frombuffer("<u8")`` — no per-key Python ints or
+tuples — then sets every probed bit through one boolean mask packed
+little-endian onto the bit array.
 
 The bit array serializes via :meth:`to_bytes`/:meth:`from_bytes` so an
 SST reopen restores the filter without re-hashing every key.
@@ -159,34 +166,25 @@ class BloomFilter:
 
     def add_all(self, keys: Iterable[bytes]) -> None:
         """Insert every key from ``keys`` (vectorized under numpy)."""
-        if self.backend == "numpy":
-            self.add_hashes(hash_pairs(keys))
+        keys = list(keys)
+        if self.backend == "numpy" and len(keys) >= _BATCH_CUTOVER:
+            blake2b = hashlib.blake2b
+            digests = _np.frombuffer(
+                b"".join(
+                    [blake2b(key, digest_size=16).digest() for key in keys]
+                ),
+                dtype="<u8",
+            ).reshape(-1, 2)
+            positions = self._positions(
+                digests[:, 0:1], digests[:, 1:2] | _np.uint64(1)
+            )
+            probed = _np.zeros(self.num_bits, dtype=bool)
+            probed[positions.ravel()] = True
+            self._view |= _np.packbits(probed, bitorder="little")
+            self._count += len(keys)
             return
         for key in keys:
             self.add(key)
-
-    def add_hashes(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        """Insert keys given their precomputed (h1, h2) pairs."""
-        if not pairs:
-            return
-        if self.backend == "numpy" and len(pairs) >= _BATCH_CUTOVER:
-            positions = self._positions(pairs).ravel()
-            _np.bitwise_or.at(
-                self._view,
-                positions >> 3,
-                _np.left_shift(
-                    _np.uint8(1), (positions & 7).astype(_np.uint8)
-                ),
-            )
-            self._count += len(pairs)
-            return
-        bits = self._bits
-        num_bits = self.num_bits
-        for h1, h2 in pairs:
-            for i in range(self.num_probes):
-                bit = ((h1 + i * h2) & _MASK64) % num_bits
-                bits[bit >> 3] |= 1 << (bit & 7)
-        self._count += len(pairs)
 
     def may_contain_batch(self, keys: Sequence[bytes]) -> List[bool]:
         """Batch :meth:`may_contain`; one vector op under numpy."""
@@ -204,7 +202,10 @@ class BloomFilter:
         if not pairs:
             return []
         if self.backend == "numpy" and len(pairs) >= _BATCH_CUTOVER:
-            positions = self._positions(pairs)  # (keys, probes)
+            pairs_array = _np.asarray(pairs, dtype=_np.uint64)
+            positions = self._positions(
+                pairs_array[:, 0:1], pairs_array[:, 1:2]
+            )  # (keys, probes)
             probed = (
                 self._view[positions >> 3]
                 >> (positions & 7).astype(_np.uint8)
@@ -212,17 +213,15 @@ class BloomFilter:
             return [bool(x) for x in probed.all(axis=1)]
         return [self._probe_one(pair) for pair in pairs]
 
-    def _positions(self, pairs: Sequence[Tuple[int, int]]):
-        """(keys, probes) uint64 array of probe bit positions.
+    def _positions(self, h1, h2):
+        """(keys, probes) uint64 array of probe bit positions from
+        ``(keys, 1)`` uint64 columns of h1 and (odd) h2.
 
         uint64 arithmetic wraps mod 2^64 — exactly the ``& _MASK64`` in
         the python loop — so both backends probe identical bits.
         """
-        assert _np is not None
-        h = _np.asarray(pairs, dtype=_np.uint64)  # (keys, 2)
         i = _np.arange(self.num_probes, dtype=_np.uint64)
-        mixed = h[:, 0:1] + i[_np.newaxis, :] * h[:, 1:2]
-        return mixed % _np.uint64(self.num_bits)
+        return (h1 + i * h2) % _np.uint64(self.num_bits)
 
     # -- durable round-trip --------------------------------------------------
 

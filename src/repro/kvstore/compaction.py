@@ -8,16 +8,25 @@ The policy is a simplified RocksDB leveled scheme:
   (``level0_file_limit · multiplier^L``); the oldest file plus the
   overlapping files below participate.
 
-Merging is a k-way merge by key with newest-wins semantics; tombstones
-are dropped only when the output lands on the last level (nothing older
-can hide beneath it).
+Merging resolves versions newest-wins: the inputs' entries are
+concatenated newest run first and sorted once by key with ``list.sort``.
+The sort is stable and each run is already sorted, so timsort merges the
+runs in C and every key's versions stay newest first; a dedupe pass then
+keeps each key's first version. Tombstones are dropped only when the
+output lands on the last level (nothing older can hide beneath it).
+``MiniRocks.scan`` resolves bounded range scans through the same merge.
+
+Every input record is decoded once (``Block.entries`` reads one length
+per record off the block's memoized ``array("I")`` offsets) and every
+output record is re-encoded into a fresh SST whose bloom filter is
+built by hashing the output keys in bulk (``BloomFilter.add_all``).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.kvstore.manifest import Manifest
 from repro.kvstore.memtable import TOMBSTONE
@@ -88,36 +97,29 @@ def pick_compaction(
 
 
 def merge_tables(
-    tables_newest_first: Sequence[SSTable], drop_tombstones: bool
+    runs_newest_first: Iterable[Iterable[Tuple[bytes, bytes]]],
+    drop_tombstones: bool,
 ) -> List[Tuple[bytes, bytes]]:
-    """K-way merge with newest-wins de-duplication.
+    """Newest-wins merge of sorted ``(key, value)`` runs.
 
-    ``tables_newest_first[0]`` shadows later tables on key ties.
+    Each run holds unique keys in ascending order; the first run
+    shadows later runs on key ties. Tombstones are kept unless
+    ``drop_tombstones``.
     """
-    # Heap entries: (key, age, entry_index, value). Lower age = newer.
-    heap: List[Tuple[bytes, int, int, bytes]] = []
-    iterators = [iter(t.iter_entries()) for t in tables_newest_first]
-    for age, iterator in enumerate(iterators):
-        entry = next(iterator, None)
-        if entry is not None:
-            heapq.heappush(heap, (entry[0], age, 0, entry[1]))
-    positions = [1] * len(iterators)
+    entries: List[Tuple[bytes, bytes]] = []
+    for run in runs_newest_first:
+        entries.extend(run)
+    entries.sort(key=itemgetter(0))  # stable: newest version first
     merged: List[Tuple[bytes, bytes]] = []
     last_key: Optional[bytes] = None
-    while heap:
-        key, age, _, value = heapq.heappop(heap)
-        entry = next(iterators[age], None)
-        if entry is not None:
-            heapq.heappush(
-                heap, (entry[0], age, positions[age], entry[1])
-            )
-            positions[age] += 1
+    for entry in entries:
+        key = entry[0]
         if key == last_key:
-            continue  # an older version of a key we already emitted
+            continue  # an older version of a key already resolved
         last_key = key
-        if drop_tombstones and value == TOMBSTONE:
+        if drop_tombstones and entry[1] == TOMBSTONE:
             continue
-        merged.append((key, value))
+        merged.append(entry)
     return merged
 
 
@@ -137,9 +139,11 @@ def run_compaction(
     """
     # Newest-first order: L0 list is already newest-first; upper level
     # shadows lower level.
-    inputs = list(job.inputs_upper) + list(job.inputs_lower)
+    inputs = job.inputs_upper + job.inputs_lower
     is_bottom = job.output_level == manifest.num_levels - 1
-    merged = merge_tables(inputs, drop_tombstones=is_bottom)
+    merged = merge_tables(
+        [sst.iter_entries() for sst in inputs], drop_tombstones=is_bottom
+    )
     for sst in job.inputs_upper:
         manifest.remove_file(job.level, sst)
         if on_file_dropped is not None:

@@ -18,12 +18,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from itertools import takewhile
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.errors import CorruptionDetectedError, KVStoreError
 from repro.kvstore.blockcache import BlockCache
 from repro.kvstore.bloom import hash_pair, hash_pairs
-from repro.kvstore.compaction import pick_compaction, run_compaction
+from repro.kvstore.compaction import (
+    merge_tables,
+    pick_compaction,
+    run_compaction,
+)
 from repro.kvstore.iterators import iterate_db
 from repro.kvstore.manifest import MANIFEST_NAME, Manifest
 from repro.kvstore.memtable import TOMBSTONE, MemTable
@@ -401,52 +406,39 @@ class MiniRocks:
             # is needed — instead of materializing (or walking) the
             # key space on either side of the range.
             iterator = iterate_db(self, start)
-            entries = (
+            entries: Iterable[Tuple[bytes, bytes]] = (
                 iterator.iter_with_tombstones()
                 if include_tombstones
                 else iterator
             )
-            result = []
-            live = 0
-            for key, value in entries:
-                if live >= limit:
-                    break
-                result.append((key, value))
-                if value != TOMBSTONE:
-                    live += 1
-            return result
-        winners = {}
-        # Oldest sources first so newer sources overwrite.
-        for level_index in range(self.manifest.num_levels - 1, 0, -1):
-            for sst in self.manifest.level(level_index):
-                self._collect_range(sst, start, end, winners)
-        for sst in reversed(self.manifest.level(0)):  # oldest L0 first
-            self._collect_range(sst, start, end, winners)
-        for key, value in self.memtable.sorted_entries():
-            if start <= key and (end is None or key < end):
-                winners[key] = value
+        else:
+            # Bounded range: resolve versions through the compaction
+            # merge, fed each source's in-range entries in
+            # read-precedence order (memtable, L0 newest first, then
+            # L1..Lmax).
+            def in_range(run):
+                if end is None:
+                    return run
+                return takewhile(lambda entry: entry[0] < end, run)
+
+            runs = [in_range(self.memtable.entries_from(start))]
+            for sst in self.manifest.files_newest_first():
+                if sst.max_key >= start and (
+                    end is None or sst.min_key < end
+                ):
+                    runs.append(in_range(sst.iter_entries_from(start)))
+            entries = merge_tables(
+                runs, drop_tombstones=not include_tombstones
+            )
         result = []
         live = 0
-        for key, value in sorted(winners.items()):
+        for key, value in entries:
             if limit is not None and live >= limit:
                 break
-            if value == TOMBSTONE:
-                if include_tombstones:
-                    result.append((key, value))
-                continue
             result.append((key, value))
-            live += 1
+            if value != TOMBSTONE:
+                live += 1
         return result
-
-    @staticmethod
-    def _collect_range(
-        sst: SSTable, start: bytes, end: Optional[bytes], out: dict
-    ) -> None:
-        if sst.max_key < start or (end is not None and sst.min_key >= end):
-            return
-        for key, value in sst.iter_entries():
-            if start <= key and (end is None or key < end):
-                out[key] = value
 
     def _read_sst_block(
         self, sst: SSTable, key: bytes

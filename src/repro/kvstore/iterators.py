@@ -1,10 +1,12 @@
 """Merging iterators: RocksDB-style cursors over MiniRocks state.
 
-``scan`` materializes a range; an :class:`LSMIterator` streams it —
-a heap-based k-way merge over the memtable and every live SST, with
-newest-wins version resolution and tombstone suppression, supporting
-``seek(key)`` and forward iteration. This is the access path real
-engines use for range reads and compaction previews.
+A bounded ``scan`` materializes its range through
+:func:`~repro.kvstore.compaction.merge_tables`; an :class:`LSMIterator`
+streams — a heap-based k-way merge over the memtable and every live
+SST, with newest-wins version resolution and tombstone suppression,
+supporting ``seek(key)`` and forward iteration. It serves the
+open-ended ``limit`` scan (YCSB workload E) and ``range_count``, which
+stop after the rows they need.
 """
 
 from __future__ import annotations

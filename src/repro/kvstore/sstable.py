@@ -22,7 +22,11 @@ matching record — no full decode, no per-lookup key-list allocation.
 The offset view is parsed (and strictly validated against the record
 bytes — a flipped or truncated trailer raises
 :class:`~repro.errors.KVStoreError` instead of misreading) once per
-block and memoized.
+block and memoized as an ``array("I")``: four bytes per record instead
+of a tuple of heap ints, which matters because every live block keeps
+its memo. Because the validated offsets tile the record region, a full
+decode (:meth:`Block.entries`, the compaction input path) reads only the
+key length of each record; the value ends where the next record starts.
 
 An SST file (:meth:`SSTable.to_bytes`) is the ``SS\x02`` container:
 identity (fingerprint, ``file_id``), the serialized bloom filter, the
@@ -38,7 +42,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import struct
+from array import array
 from dataclasses import dataclass, field
+from operator import ge, itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import KVStoreError
@@ -60,6 +66,8 @@ _SST_MAGIC_V2 = b"SS\x02"
 _BLOCK_MAGIC = b"BK\xe2\x02"
 #: count:u32 + magic
 _TRAILER_FIXED = 4 + len(_BLOCK_MAGIC)
+
+_unpack_u32_from = struct.Struct(">I").unpack_from
 
 
 def sst_filename(fingerprint: int) -> str:
@@ -182,21 +190,21 @@ class Block:
     #: Ground-truth owner (SST fingerprint) for the corruption auditor.
     owner_fingerprint: int
     block_no: int
-    _offsets: Optional[Tuple[int, ...]] = field(
+    _offsets: Optional["array[int]"] = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def offsets(self) -> Tuple[int, ...]:
+    def offsets(self) -> "array[int]":
         """Record start offsets (parsed once, then memoized)."""
         cached = self._offsets
         if cached is None:
-            cached = tuple(_parse_v2_offsets(self.payload))
+            cached = array("I", _parse_v2_offsets(self.payload))
             object.__setattr__(self, "_offsets", cached)
         return cached
 
     def _install_offsets(self, offsets: Sequence[int]) -> None:
         """Builder fast path: offsets known at encode time."""
-        object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "_offsets", array("I", offsets))
 
     @property
     def entry_count(self) -> int:
@@ -204,9 +212,24 @@ class Block:
         return len(self.offsets())
 
     def entries(self) -> List[Tuple[bytes, bytes]]:
-        """Decode the block's (key, value) pairs."""
+        """Decode the block's (key, value) pairs.
+
+        The validated offsets tile the record region, so each record
+        ends where the next one starts (the last one where the offset
+        table does) and only its key length needs reading.
+        """
         payload = self.payload
-        return [_record_at(payload, offset) for offset in self.offsets()]
+        offsets = self.offsets()
+        ends = offsets[1:]
+        ends.append(len(payload) - _TRAILER_FIXED - 4 * len(offsets))
+        unpack_from = _unpack_u32_from
+        result = []
+        for start, end in zip(offsets, ends):
+            key_end = start + 4 + unpack_from(payload, start)[0]
+            result.append(
+                (payload[start + 4 : key_end], payload[key_end + 4 : end])
+            )
+        return result
 
     def key_at(self, index: int) -> bytes:
         """The key of record ``index`` (slices only the key bytes)."""
@@ -298,22 +321,20 @@ class SSTable:
         """Build an SST from a sorted, de-duplicated entry sequence."""
         if not entries:
             raise KVStoreError("cannot build an empty SSTable")
-        live = 0
-        previous: Optional[bytes] = None
-        for key, value in entries:
-            if previous is not None and previous >= key:
-                raise KVStoreError(
-                    f"entries must be strictly ascending: "
-                    f"{previous!r} >= {key!r}"
-                )
-            previous = key
-            if value != TOMBSTONE:
-                live += 1
+        keys = list(map(itemgetter(0), entries))
+        if any(map(ge, keys, keys[1:])):
+            index = list(map(ge, keys, keys[1:])).index(True)
+            raise KVStoreError(
+                f"entries must be strictly ascending: "
+                f"{keys[index]!r} >= {keys[index + 1]!r}"
+            )
+        values = list(map(itemgetter(1), entries))
+        live = len(values) - values.count(TOMBSTONE)
         fingerprint = next(_fingerprint_counter)
         blocks: List[Block] = []
         index_keys: List[bytes] = []
         for block_no, start in enumerate(range(0, len(entries), block_entries)):
-            chunk = list(entries[start : start + block_entries])
+            chunk = entries[start : start + block_entries]
             payload, offsets = _encode_entries(chunk)
             block = Block(
                 payload=payload,
@@ -328,7 +349,7 @@ class SSTable:
         bloom = None
         if bloom_bits_per_key > 0:
             bloom = BloomFilter(len(entries), bloom_bits_per_key)
-            bloom.add_all(k for k, _ in entries)
+            bloom.add_all(keys)
         return cls(
             file_id=file_id,
             blocks=blocks,

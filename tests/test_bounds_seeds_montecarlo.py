@@ -1,7 +1,5 @@
 """Unit tests for bound formulas, seed derivation, and the MC estimator."""
 
-import random
-
 import pytest
 
 from repro.adversary.profiles import DemandProfile

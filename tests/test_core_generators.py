@@ -9,7 +9,6 @@ from repro.core import (
     BinsStarGenerator,
     ClusterGenerator,
     ClusterStarGenerator,
-    IDGenerator,
     RandomGenerator,
     SkewAwareGenerator,
 )

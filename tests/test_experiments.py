@@ -13,7 +13,6 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.framework import (
-    Check,
     ExperimentResult,
     geometric_midpoint_crossover,
 )

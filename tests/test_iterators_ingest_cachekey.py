@@ -12,7 +12,7 @@ from repro.idspace.cachekey import (
     split_cache_key,
 )
 from repro.kvstore.db import MiniRocks
-from repro.kvstore.iterators import LSMIterator, iterate_db, range_count
+from repro.kvstore.iterators import iterate_db, range_count
 from repro.kvstore.options import Options
 
 

@@ -109,27 +109,32 @@ class TestManifest:
         assert manifest_b.assigned_ids == []
 
 
+def runs_of(*tables):
+    """The newest-first entry runs ``merge_tables`` takes."""
+    return [table.iter_entries() for table in tables]
+
+
 class TestMergeTables:
     def test_newest_wins(self):
         new = sst_from(1, [(b"a", b"new"), (b"b", b"2")])
         old = sst_from(2, [(b"a", b"old"), (b"c", b"3")])
-        merged = merge_tables([new, old], drop_tombstones=False)
+        merged = merge_tables(runs_of(new, old), drop_tombstones=False)
         assert merged == [(b"a", b"new"), (b"b", b"2"), (b"c", b"3")]
 
     def test_tombstones_dropped_at_bottom(self):
         new = sst_from(1, [(b"a", TOMBSTONE)])
         old = sst_from(2, [(b"a", b"x"), (b"b", b"y")])
-        assert merge_tables([new, old], drop_tombstones=True) == [
+        assert merge_tables(runs_of(new, old), drop_tombstones=True) == [
             (b"b", b"y")
         ]
-        kept = merge_tables([new, old], drop_tombstones=False)
+        kept = merge_tables(runs_of(new, old), drop_tombstones=False)
         assert (b"a", TOMBSTONE) in kept
 
     def test_three_way(self):
         a = sst_from(1, [(b"k", b"v3")])
         b = sst_from(2, [(b"k", b"v2")])
         c = sst_from(3, [(b"k", b"v1")])
-        assert merge_tables([a, b, c], False) == [(b"k", b"v3")]
+        assert merge_tables(runs_of(a, b, c), False) == [(b"k", b"v3")]
 
 
 class TestCompactionPicking:

@@ -9,6 +9,8 @@ byte boundary of the final record — and the durable
 WAL replay).
 """
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KVStoreError, WALCorruptionError
+from repro.kvstore import sstable
 from repro.kvstore.db import MiniRocks
 from repro.kvstore.options import Options
 from repro.kvstore.sstable import SSTable
@@ -600,3 +603,74 @@ class TestDurableMiniRocks:
                 ),
                 rng=random.Random(14),
             )
+
+
+def _stored_bytes_digest(write_mode):
+    """Drive one durable store through a seeded put/delete stream and
+    hash every storage file's name and bytes.
+
+    The options are small enough that flushes, L0→L1 compactions and
+    bottom-level compactions (which drop tombstones) all run.
+    """
+    options = Options(
+        memtable_entries=16,
+        block_entries=4,
+        level0_file_limit=2,
+        level_size_multiplier=2,
+        num_levels=3,
+        write_mode=write_mode,
+    )
+    storage = SimulatedStorage(seed=3)
+    db = MiniRocks.open(storage, options=options, rng=random.Random(11))
+    rng = random.Random(2024)
+    for i in range(2_000):
+        key = b"key%04d" % rng.randrange(400)
+        if rng.random() < 0.2:
+            db.delete(key)
+        else:
+            db.put(key, b"value-%d-" % i + rng.randbytes(rng.randrange(24)))
+    assert db.stats.flushes > 0 and db.stats.compactions > 0
+    bottom = db.manifest.level(options.num_levels - 1)
+    assert bottom, "no compaction reached the bottom level"
+    assert all(sst.live_entries == sst.entry_count for sst in bottom)
+    assert any(
+        sst.live_entries < sst.entry_count
+        for _, sst in db.manifest.live_files()
+    ), "no tombstone left above the bottom level"
+    # The unsynced byte count tells the write modes apart: their files
+    # hold the same bytes, but not the same durable prefix.
+    digest = hashlib.sha256()
+    for name in storage.list():
+        payload = storage.read(name)
+        digest.update(
+            b"%s:%d:%d:"
+            % (name.encode(), len(payload), storage.unsynced_bytes(name))
+        )
+        digest.update(payload)
+    return digest.hexdigest()
+
+
+#: Stored bytes pinned per write mode: SST containers, bloom bit
+#: arrays, file IDs, manifest and WAL segments. A change to the build,
+#: merge or compaction path must leave every one of these unchanged.
+GOLDEN_STORED_BYTES = {
+    WriteMode.NOSYNC: (
+        "d3923f064fa0579adf268b29f02973b58c77be6857f4211b7b903f1a679aab41"
+    ),
+    WriteMode.BATCH: (
+        "ff9647169efbacdb6f405cd592651571f8333440f199916189d7d084726bad78"
+    ),
+    WriteMode.SYNC_EVERY_WRITE: (
+        "c4d7b0ff9903ba42436b5ee5a9ec0766491f3f70f8e7e45d3705e999059c613d"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "write_mode", list(GOLDEN_STORED_BYTES), ids=lambda mode: mode.name.lower()
+)
+def test_stored_bytes_are_golden(write_mode, monkeypatch):
+    # SST fingerprints (and so file names) come from a process-global
+    # counter; restart it so the digest does not depend on test order.
+    monkeypatch.setattr(sstable, "_fingerprint_counter", itertools.count(1))
+    assert _stored_bytes_digest(write_mode) == GOLDEN_STORED_BYTES[write_mode]

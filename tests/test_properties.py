@@ -30,6 +30,7 @@ from repro.idspace.encoding import (
     id_to_hex,
 )
 from repro.kvstore.bloom import BloomFilter
+from repro.kvstore.compaction import merge_tables
 from repro.kvstore.memtable import TOMBSTONE, MemTable
 from repro.kvstore.sstable import Block, _encode_entries
 from repro.simulation.montecarlo import wilson_interval
@@ -291,6 +292,28 @@ def test_memtable_matches_dict_model(ops):
     for key, expected in model.items():
         assert table.get(key) == expected
     assert [k for k, _ in table.sorted_entries()] == sorted(model)
+
+
+#: One sorted run of unique keys from a small key space, so runs
+#: overlap; each value is a tombstone about half the time.
+SORTED_RUN = st.dictionaries(
+    st.integers(0, 30).map(lambda index: b"key%02d" % index),
+    st.one_of(st.just(TOMBSTONE), st.binary(max_size=8)),
+    max_size=20,
+).map(lambda run: sorted(run.items()))
+
+
+@FAST
+@given(runs=st.lists(SORTED_RUN, max_size=6))
+def test_merge_tables_matches_dict_model(runs):
+    model = {}
+    for run in reversed(runs):  # oldest first: newer runs overwrite
+        model.update(run)
+    expected = sorted(model.items())
+    assert merge_tables(runs, drop_tombstones=False) == expected
+    assert merge_tables(runs, drop_tombstones=True) == [
+        (key, value) for key, value in expected if value != TOMBSTONE
+    ]
 
 
 # -- statistics ------------------------------------------------------------------

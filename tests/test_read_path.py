@@ -165,7 +165,8 @@ def test_lazy_offsets_memoized():
     assert block._offsets is None  # not parsed until first use
     first = block.offsets()
     assert block._offsets is first
-    assert block.offsets() is first  # same tuple, no re-parse
+    assert block.offsets() is first  # same array, no re-parse
+    assert first.typecode == "I"  # four bytes per record, not heap ints
 
 
 # -- SST container formats ----------------------------------------------------
