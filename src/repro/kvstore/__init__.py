@@ -11,7 +11,7 @@ from repro.kvstore.compaction import (
 )
 from repro.kvstore.db import DBStats, MiniRocks
 from repro.kvstore.iterators import LSMIterator, iterate_db, range_count
-from repro.kvstore.manifest import MANIFEST_NAME, Manifest, VersionEdit
+from repro.kvstore.manifest import MANIFEST_NAME, Manifest
 from repro.kvstore.memtable import TOMBSTONE, MemTable
 from repro.kvstore.options import Options, generator_factory_from_spec
 from repro.kvstore.sstable import Block, SSTable, sst_filename
@@ -45,7 +45,6 @@ __all__ = [
     "SSTable",
     "Block",
     "Manifest",
-    "VersionEdit",
     "MANIFEST_NAME",
     "sst_filename",
     "WriteAheadLog",

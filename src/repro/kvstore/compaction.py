@@ -1,12 +1,22 @@
-"""Leveled compaction: picking and merging.
+"""Leveled compaction: picking, moving and merging.
 
 The policy is a simplified RocksDB leveled scheme:
 
 * L0 → L1 when L0 holds ``level0_file_limit`` files or more (all L0
   files participate, plus every overlapping L1 file);
-* L → L+1 when level L exceeds its file budget
-  (``level0_file_limit · multiplier^L``); the oldest file plus the
-  overlapping files below participate.
+* L → L+1 when level L holds its file budget
+  (``level0_file_limit · multiplier^L``) or more; the file with the
+  smallest ``min_key`` plus the overlapping files below participate.
+
+A job with no file below it, whose upper files do not overlap each
+other, is a *trivial move* (as in RocksDB): the upper files go one
+level down as they are, keeping their file ID, fingerprint, cached
+blocks and storage file. No SST is built and no ID is minted. The
+paper's Theorem 1 ties collision risk to the IDs minted, so a rewrite
+that changes no content would add risk and nothing else. The one
+exception is a file holding a tombstone on its way to the bottom
+level, which is merged so the bottom level stays tombstone-free. An
+ascending-key load compacts by moves alone.
 
 Merging resolves versions newest-wins: the inputs' entries are
 concatenated newest run first and sorted once by key with ``list.sort``.
@@ -16,10 +26,10 @@ keeps each key's first version. Tombstones are dropped only when the
 output lands on the last level (nothing older can hide beneath it).
 ``MiniRocks.scan`` resolves bounded range scans through the same merge.
 
-Every input record is decoded once (``Block.entries`` reads one length
-per record off the block's memoized ``array("I")`` offsets) and every
-output record is re-encoded into a fresh SST whose bloom filter is
-built by hashing the output keys in bulk (``BloomFilter.add_all``).
+Every merged input record is decoded once (``Block.entries`` reads one
+length per record off the block's memoized ``array("I")`` offsets) and
+every output record is re-encoded into a fresh SST whose bloom filter
+is built by hashing the output keys in bulk (``BloomFilter.add_all``).
 """
 
 from __future__ import annotations
@@ -41,6 +51,9 @@ class CompactionJob:
     level: int
     inputs_upper: Tuple[SSTable, ...]
     inputs_lower: Tuple[SSTable, ...]
+    #: Move ``inputs_upper`` down unchanged instead of merging (see the
+    #: module docstring); only ever set with no ``inputs_lower``.
+    trivial_move: bool
 
     @property
     def output_level(self) -> int:
@@ -66,7 +79,7 @@ def pick_compaction(
         if len(files) < level_file_budget(options, level):
             continue
         if level == 0:
-            upper: List[SSTable] = files  # all of L0 (ranges overlap)
+            upper: List[SSTable] = files  # all of L0 (ranges may overlap)
         else:
             upper = [min(files, key=lambda s: s.min_key)]
         # The merged output spans the convex hull of the input key
@@ -88,12 +101,26 @@ def pick_compaction(
                     grown = True
             if not grown:
                 break
+        to_bottom = level + 1 == manifest.num_levels - 1
         return CompactionJob(
             level=level,
             inputs_upper=tuple(upper),
             inputs_lower=tuple(lower),
+            trivial_move=not lower and _can_move(upper, to_bottom),
         )
     return None
+
+
+def _can_move(upper: Sequence[SSTable], to_bottom: bool) -> bool:
+    """Whether ``upper`` can go down a level as it is: its files must
+    not overlap each other, and none bound for the bottom level may
+    hold a tombstone."""
+    ordered = sorted(upper, key=lambda s: s.min_key)
+    if any(a.overlaps(b) for a, b in zip(ordered, ordered[1:])):
+        return False
+    return not to_bottom or all(
+        sst.live_entries == sst.entry_count for sst in upper
+    )
 
 
 def merge_tables(
@@ -130,13 +157,20 @@ def run_compaction(
     build_sst: Callable[[Sequence[Tuple[bytes, bytes]]], SSTable],
     on_file_dropped: Optional[Callable[[SSTable], None]] = None,
 ) -> List[SSTable]:
-    """Execute ``job``: merge inputs, split outputs, update the manifest.
+    """Execute ``job``: move or merge its inputs, update the manifest.
 
-    ``build_sst`` assigns the new file its (uncoordinated) ID — every
-    compaction consumes fresh IDs, which is why real deployments burn
-    through the ID space far faster than the live-file count suggests.
-    Returns the output files.
+    A trivial move re-files the upper inputs one level down (their IDs
+    were recorded when they were built) and drops nothing. A merge
+    splits its output into fresh SSTs; ``build_sst`` assigns each its
+    (uncoordinated) ID, which is why real deployments burn through the
+    ID space far faster than the live-file count suggests. Returns the
+    files installed at the output level.
     """
+    if job.trivial_move:
+        for sst in job.inputs_upper:
+            manifest.remove_file(job.level, sst)
+            manifest.add_file(job.output_level, sst, record_id=False)
+        return list(job.inputs_upper)
     # Newest-first order: L0 list is already newest-first; upper level
     # shadows lower level.
     inputs = job.inputs_upper + job.inputs_lower

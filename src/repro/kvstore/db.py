@@ -57,6 +57,9 @@ class DBStats:
     scans: int = 0
     flushes: int = 0
     compactions: int = 0
+    #: Compactions that moved their files down a level unchanged (no
+    #: SST built, no ID minted); also counted in ``compactions``.
+    trivial_moves: int = 0
     bloom_negative: int = 0
     sst_reads: int = 0
     #: Reads that consulted a block owned by a different SST (ground
@@ -585,13 +588,16 @@ class MiniRocks:
             if self.storage is not None:
                 # Commit the new version first; input files are
                 # deleted only once nothing references them, so a
-                # crash at any point leaves a readable version.
+                # crash at any point leaves a readable version. A
+                # trivial move drops no file and deletes nothing.
                 self._commit_manifest()
                 for sst in dropped:
                     name = sst_filename(sst.fingerprint)
                     if self.storage.exists(name):
                         self.storage.delete(name, label="sst-delete")
             self.stats.compactions += 1
+            if job.trivial_move:
+                self.stats.trivial_moves += 1
 
     def compact_all(self) -> None:
         """Force compactions until every level is within budget."""

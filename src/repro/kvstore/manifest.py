@@ -1,8 +1,9 @@
 """The manifest: which SSTs are live, at which level.
 
-A light-weight version of RocksDB's VERSION/MANIFEST machinery: an
-ordered record of *version edits* (file added / file removed at level
-L), with the current version materialized as per-level file lists.
+A light-weight version of RocksDB's VERSION/MANIFEST machinery that
+keeps only the current version, as per-level file lists, plus every
+file ID the store ever assigned. A durable store commits the version
+whole (:meth:`Manifest.encode_state`) after every change.
 
 L0 files may overlap each other (they are flushed memtables, newest
 first); L1+ files are kept non-overlapping and sorted by min_key.
@@ -11,7 +12,6 @@ first); L1+ files are kept non-overlapping and sorted by min_key.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import KVStoreError
@@ -27,25 +27,14 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class VersionEdit:
-    """One manifest record."""
-
-    action: str  # "add" | "remove"
-    level: int
-    file_id: int
-    fingerprint: int
-
-
 class Manifest:
-    """Tracks live files per level plus the full edit history."""
+    """Tracks live files per level and every file ID ever assigned."""
 
     def __init__(self, num_levels: int):
         if num_levels < 2:
             raise KVStoreError("need at least 2 levels")
         self.num_levels = num_levels
         self._levels: List[List[SSTable]] = [[] for _ in range(num_levels)]
-        self._edits: List[VersionEdit] = []
         #: Every file id this store ever assigned (for uniqueness audits).
         self.assigned_ids: List[int] = []
 
@@ -70,10 +59,6 @@ class Manifest:
     def total_entries(self) -> int:
         """Sum of entry counts over all live files."""
         return sum(sst.entry_count for _, sst in self.live_files())
-
-    def edits(self) -> List[VersionEdit]:
-        """The full edit history (oldest first)."""
-        return list(self._edits)
 
     def files_newest_first(self) -> Iterator[SSTable]:
         """All live files in point-read precedence order.
@@ -118,9 +103,6 @@ class Manifest:
                     )
             self._levels[level].append(sst)
             self._levels[level].sort(key=lambda s: s.min_key)
-        self._edits.append(
-            VersionEdit("add", level, sst.file_id, sst.fingerprint)
-        )
         if record_id:
             self.assigned_ids.append(sst.file_id)
 
@@ -133,9 +115,6 @@ class Manifest:
             raise KVStoreError(
                 f"file {sst.file_id} not live at level {level}"
             ) from None
-        self._edits.append(
-            VersionEdit("remove", level, sst.file_id, sst.fingerprint)
-        )
 
     def detach_file(self, level: int, sst: SSTable) -> None:
         """Remove for migration (the file lives on at another node)."""

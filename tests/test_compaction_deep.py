@@ -10,6 +10,9 @@ from repro.errors import ConfigurationError
 from repro.kvstore.db import MiniRocks
 from repro.kvstore.memtable import TOMBSTONE
 from repro.kvstore.options import Options, generator_factory_from_spec
+from repro.kvstore.sstable import SST_PREFIX, sst_filename
+from repro.kvstore.storage import SimulatedStorage
+from repro.kvstore.wal import WriteMode
 
 
 class TestOptions:
@@ -46,19 +49,23 @@ class TestOptions:
         assert sentinel
 
 
+def _small_options(**overrides):
+    """A tiny memtable and level budgets, so a few puts cascade deep."""
+    defaults = dict(
+        memtable_entries=4,
+        block_entries=2,
+        level0_file_limit=2,
+        level_size_multiplier=2,
+        num_levels=4,
+        id_universe=1 << 32,
+    )
+    defaults.update(overrides)
+    return Options(**defaults)
+
+
 class TestCompactionCascade:
     def _db(self):
-        return MiniRocks(
-            Options(
-                memtable_entries=4,
-                block_entries=2,
-                level0_file_limit=2,
-                level_size_multiplier=2,
-                num_levels=4,
-                id_universe=1 << 32,
-            ),
-            rng=random.Random(9),
-        )
+        return MiniRocks(_small_options(), rng=random.Random(9))
 
     def test_data_reaches_deep_levels_and_survives(self):
         db = self._db()
@@ -153,3 +160,113 @@ class TestCompactionCascade:
         live_ids = set(db.live_file_ids())
         for file_id, _block in list(db.cache._blocks):
             assert file_id in live_ids
+
+
+class TestTrivialMoves:
+    """A compaction whose files overlap nothing below moves them down
+    with their IDs instead of rewriting them."""
+
+    def _db(self, **overrides):
+        return MiniRocks(_small_options(**overrides), rng=random.Random(9))
+
+    def _put_range(self, db, start, stop):
+        for i in range(start, stop):
+            db.put(f"k{i:04d}".encode(), f"v{i}".encode())
+
+    def test_ascending_load_mints_one_id_per_flush(self):
+        db = self._db()
+        self._put_range(db, 0, 400)
+        assert len(db.assigned_file_ids()) == db.stats.flushes
+        assert db.stats.trivial_moves > 0
+        assert db.stats.trivial_moves == db.stats.compactions
+        assert db.manifest.file_count(db.manifest.num_levels - 1) > 0
+        for level in range(1, db.manifest.num_levels):
+            files = db.manifest.level(level)
+            for lower, upper in zip(files, files[1:]):
+                assert lower.max_key < upper.min_key
+        for i in range(400):
+            assert db.get(f"k{i:04d}".encode()) == f"v{i}".encode()
+
+    def test_moved_file_keeps_identity_and_cached_blocks(self):
+        db = self._db()
+        self._put_range(db, 0, 4)  # flush: one L0 file
+        (sst,) = db.manifest.level(0)
+        assert db.get(b"k0001") == b"v1"  # caches the file's block
+        hits = db.cache.stats.hits
+        self._put_range(db, 4, 8)  # second L0 file: both move to L1
+        assert db.stats.trivial_moves == 1
+        assert db.manifest.file_count(0) == 0
+        moved = [s for s in db.manifest.level(1) if s.file_id == sst.file_id]
+        assert [s.fingerprint for s in moved] == [sst.fingerprint]
+        assert db.assigned_file_ids() == db.live_file_ids()
+        assert db.get(b"k0001") == b"v1"
+        assert db.cache.stats.hits == hits + 1
+        assert db.stats.corrupt_block_reads == 0
+
+    def test_durable_move_commits_and_deletes_nothing(self):
+        storage = SimulatedStorage(seed=3)
+        options = _small_options(write_mode=WriteMode.SYNC_EVERY_WRITE)
+        db = MiniRocks.open(storage, options=options, rng=random.Random(9))
+        self._put_range(db, 0, 64)
+        assert 0 < db.stats.trivial_moves == db.stats.compactions
+        layout = [
+            (level, sst.file_id, sst.fingerprint)
+            for level, sst in db.manifest.live_files()
+        ]
+        assert sorted(storage.list(SST_PREFIX)) == sorted(
+            sst_filename(fingerprint) for _, _, fingerprint in layout
+        )
+        storage.crash()
+        storage.restart()
+        reopened = MiniRocks.open(
+            storage, options=options, rng=random.Random(10)
+        )
+        assert [
+            (level, sst.file_id, sst.fingerprint)
+            for level, sst in reopened.manifest.live_files()
+        ] == layout
+        assert reopened.assigned_file_ids() == db.assigned_file_ids()
+
+    def test_overlapping_l0_files_are_merged(self):
+        db = self._db()
+        self._put_range(db, 0, 4)
+        flushed = set(db.assigned_file_ids())
+        for i in range(4):
+            db.put(f"k{i:04d}".encode(), b"new")
+        assert db.stats.compactions == 1
+        assert db.stats.trivial_moves == 0
+        (output,) = db.manifest.level(1)
+        assert output.file_id not in flushed
+        assert len(db.assigned_file_ids()) == db.stats.flushes + 1
+        assert db.get(b"k0002") == b"new"
+
+    def test_tombstone_file_bound_for_bottom_is_rewritten(self):
+        db = self._db(num_levels=3)
+        self._put_range(db, 0, 3)
+        db.delete(b"k0003")  # flush: a file holding a tombstone
+        (holder,) = db.manifest.level(0)
+        self._put_range(db, 4, 8)
+        # Both L0 files move to L1; the tombstone moves with its file.
+        assert db.stats.trivial_moves == 1
+        assert holder in db.manifest.level(1)
+        self._put_range(db, 8, 16)
+        # L1 reached its budget: its first file, the tombstone holder,
+        # is headed for the bottom level, so it is merged instead.
+        assert db.stats.compactions == 3
+        assert db.stats.trivial_moves == 2
+        (bottom,) = db.manifest.level(2)
+        assert bottom.file_id != holder.file_id
+        assert [value for _key, value in bottom.iter_entries()] == [
+            b"v0", b"v1", b"v2"
+        ]
+        assert len(db.assigned_file_ids()) == db.stats.flushes + 1
+        # Tombstone-free files still move to the bottom level.
+        self._put_range(db, 16, 24)
+        assert db.stats.trivial_moves == db.stats.compactions - 1
+        assert len(db.assigned_file_ids()) == db.stats.flushes + 1
+        assert db.manifest.file_count(2) > 1
+        for sst in db.manifest.level(2):
+            assert all(
+                value != TOMBSTONE for _key, value in sst.iter_entries()
+            )
+        assert db.get(b"k0003") is None

@@ -6,7 +6,9 @@ Three layers of assurance that the acked-write contract holds:
    point** (``wal-append``, ``fsync``, ``flush``, ``compaction``,
    ``manifest-commit``) under **every** :class:`WriteMode`, then
    reopening and checking the recovered state is a prefix of the
-   attempted ops that covers everything acknowledged.
+   attempted ops that covers everything acknowledged. An ascending-key
+   stream, whose compactions move files down instead of rewriting
+   them, is also killed at every one of its manifest commits.
 2. A hypothesis property test crashing at an *arbitrary* storage op
    under a generated op sequence — same prefix invariant, explored
    instead of enumerated.
@@ -99,8 +101,26 @@ def _execute(db, op):
     return db.delete(key)
 
 
-def _recovered_state(db):
-    return {key: db.get(key) for key in KEYS if db.get(key) is not None}
+def _recovered_state(db, keys):
+    return {key: db.get(key) for key in keys if db.get(key) is not None}
+
+
+def _run_until_crash(db, ops):
+    """Execute ``ops`` until one crashes; return the attempted ops, the
+    acknowledged watermark and whether a crash fired."""
+    attempted = []
+    acked = 0
+    for op in ops:
+        attempted.append(op)  # attempted BEFORE executing
+        try:
+            _execute(db, op)
+        except SimulatedCrashError:
+            # durable_seqno may have advanced during the fatal op
+            # (e.g. the group fsync completed before a later flush
+            # step crashed) — those writes were acknowledged too.
+            return attempted, max(acked, db.durable_seqno), True
+        acked = db.durable_seqno
+    return attempted, acked, False
 
 
 def _assert_acked_prefix_survives(storage, options, attempted, acked, context):
@@ -109,11 +129,12 @@ def _assert_acked_prefix_survives(storage, options, attempted, acked, context):
     len(attempted)`` — every acknowledged write survives, and no
     unacknowledged write resurrects out of order or ahead of a lost
     one."""
+    keys = sorted(set(KEYS).union(op[1] for op in attempted))
     storage.restart()
     reopened = MiniRocks.open(
         storage, options=options, rng=random.Random(999)
     )
-    recovered = _recovered_state(reopened)
+    recovered = _recovered_state(reopened, keys)
     candidates = [
         k
         for k in range(acked, len(attempted) + 1)
@@ -130,7 +151,7 @@ def _assert_acked_prefix_survives(storage, options, attempted, acked, context):
     storage.crash()
     storage.restart()
     again = MiniRocks.open(storage, options=options, rng=random.Random(998))
-    assert _recovered_state(again) == _apply(attempted[:k]), (
+    assert _recovered_state(again, keys) == _apply(attempted[:k]), (
         f"{context}: recovered state did not survive a second crash"
     )
     # Recovery must also leave a *writable* log: new acked writes land
@@ -147,7 +168,9 @@ def _assert_acked_prefix_survives(storage, options, attempted, acked, context):
     storage.crash()
     storage.restart()
     final = MiniRocks.open(storage, options=options, rng=random.Random(997))
-    assert _recovered_state(final) == _apply(attempted[:k] + followups), (
+    assert _recovered_state(final, keys) == _apply(
+        attempted[:k] + followups
+    ), (
         f"{context}: acked post-recovery writes lost after another crash"
     )
 
@@ -168,23 +191,8 @@ class TestLabeledCrashMatrix:
         storage.plan_crash(at=1, label=label)
 
         ops = _op_stream(60, seed=derive_seed(17, ord(label[0]), 1))
-        attempted = []
-        acked = 0
-        crashed = False
-        for op in ops:
-            attempted.append(op)  # attempted BEFORE executing
-            try:
-                _execute(db, op)
-            except SimulatedCrashError:
-                crashed = True
-                break
-            acked = db.durable_seqno
-        if crashed:
-            # durable_seqno may have advanced during the fatal op
-            # (e.g. the group fsync completed before a later flush
-            # step crashed) — those writes were acknowledged too.
-            acked = max(acked, db.durable_seqno)
-        else:
+        attempted, acked, crashed = _run_until_crash(db, ops)
+        if not crashed:
             # Some cells never fire (NOSYNC never fsyncs): fall back
             # to an untargeted process death with everything buffered.
             assert mode is WriteMode.NOSYNC and label == "fsync", (
@@ -211,6 +219,42 @@ class TestLabeledCrashMatrix:
         if mode is WriteMode.NOSYNC:
             expected.discard("fsync")
         assert expected <= fired, f"never fired: {expected - fired}"
+
+
+class TestTrivialMoveCrashes:
+    """Kill at every manifest commit of an ascending-key stream.
+
+    Each flushed file lies past every file below it, so the stream's
+    compactions are trivial moves: the commit that re-files a file one
+    level down is the only storage op a move makes. The labeled matrix
+    kills only at each label's first occurrence, and its 6-key stream
+    never moves a file.
+    """
+
+    OPS = [("put", f"asc{i:03d}".encode(), f"v{i}".encode()) for i in range(48)]
+
+    def _open(self, mode, seed):
+        storage = SimulatedStorage(seed=seed)
+        db = MiniRocks.open(
+            storage, options=_matrix_options(mode), rng=random.Random(7)
+        )
+        return storage, db
+
+    @pytest.mark.parametrize("mode", WRITE_MODES, ids=lambda m: m.value)
+    def test_kill_at_every_manifest_commit(self, mode):
+        storage, db = self._open(mode, seed=derive_seed(43, 0))
+        _run_until_crash(db, self.OPS)
+        assert db.stats.trivial_moves > 0
+        commits = storage._label_counts["manifest-commit"]
+        for at in range(1, commits + 1):
+            storage, db = self._open(mode, seed=derive_seed(43, at))
+            storage.plan_crash(at=at, label="manifest-commit")
+            attempted, acked, crashed = _run_until_crash(db, self.OPS)
+            assert crashed, f"manifest commit {at} never fired"
+            _assert_acked_prefix_survives(
+                storage, _matrix_options(mode), attempted, acked,
+                f"manifest-commit {at}/{commits} x {mode.value}",
+            )
 
 
 class TestCrashProperty:
