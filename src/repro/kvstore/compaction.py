@@ -18,30 +18,32 @@ exception is a file holding a tombstone on its way to the bottom
 level, which is merged so the bottom level stays tombstone-free. An
 ascending-key load compacts by moves alone.
 
-Merging resolves versions newest-wins: the inputs' entries are
-concatenated newest run first and sorted once by key with ``list.sort``.
-The sort is stable and each run is already sorted, so timsort merges the
-runs in C and every key's versions stay newest first; a dedupe pass then
-keeps each key's first version. Tombstones are dropped only when the
+Merging resolves versions newest-wins: the runs go into one dict
+oldest first, so a newer version overwrites an older one, and the
+surviving keys are sorted once. Tombstones are dropped only when the
 output lands on the last level (nothing older can hide beneath it).
 ``MiniRocks.scan`` resolves bounded range scans through the same merge.
 
-Every merged input record is decoded once (``Block.entries`` reads one
-length per record off the block's memoized ``array("I")`` offsets) and
-every output record is re-encoded into a fresh SST whose bloom filter
-is built by hashing the output keys in bulk (``BloomFilter.add_all``).
+Compaction merges *records* (``klen | key | vlen | value``, see
+:class:`~repro.kvstore.sstable.Records`), never decoded values:
+``SSTable.records`` slices each input record out whole and reads only
+its key, and each output block is the winning records joined plus an
+offset table accumulated from their lengths. A record holds a tombstone
+exactly when its value length is ``len(TOMBSTONE)`` and it ends with
+``TOMBSTONE``. The output bytes are those a decode and re-encode would
+give. Each output SST's bloom filter hashes its keys in bulk
+(``BloomFilter.add_all``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.kvstore.manifest import Manifest
 from repro.kvstore.memtable import TOMBSTONE
 from repro.kvstore.options import Options
-from repro.kvstore.sstable import SSTable
+from repro.kvstore.sstable import Records, SSTable, tombstone_keys
 
 
 @dataclass(frozen=True)
@@ -124,47 +126,51 @@ def _can_move(upper: Sequence[SSTable], to_bottom: bool) -> bool:
 
 
 def merge_tables(
-    runs_newest_first: Iterable[Iterable[Tuple[bytes, bytes]]],
+    runs_newest_first: Iterable[Union[Records, Iterable[Tuple[bytes, bytes]]]],
     drop_tombstones: bool,
-) -> List[Tuple[bytes, bytes]]:
-    """Newest-wins merge of sorted ``(key, value)`` runs.
+) -> Union[Records, List[Tuple[bytes, bytes]]]:
+    """Newest-wins merge of sorted runs.
 
     Each run holds unique keys in ascending order; the first run
-    shadows later runs on key ties. Tombstones are kept unless
-    ``drop_tombstones``.
+    shadows later runs on key ties. Runs are iterables of ``(key,
+    value)`` pairs, or all :class:`Records` (compaction's form), and
+    the result takes the form of the runs (with no runs, the empty
+    pair list). Tombstones are kept unless ``drop_tombstones``.
     """
-    entries: List[Tuple[bytes, bytes]] = []
-    for run in runs_newest_first:
-        entries.extend(run)
-    entries.sort(key=itemgetter(0))  # stable: newest version first
-    merged: List[Tuple[bytes, bytes]] = []
-    last_key: Optional[bytes] = None
-    for entry in entries:
-        key = entry[0]
-        if key == last_key:
-            continue  # an older version of a key already resolved
-        last_key = key
-        if drop_tombstones and entry[1] == TOMBSTONE:
-            continue
-        merged.append(entry)
-    return merged
+    runs = list(runs_newest_first)
+    encoded = any(isinstance(run, Records) for run in runs)
+    newest: Dict[bytes, bytes] = {}
+    for run in reversed(runs):  # oldest first: newer versions overwrite
+        newest.update(zip(run.keys, run.records) if encoded else run)
+    if drop_tombstones:
+        if encoded:
+            dead = tombstone_keys(newest, newest.values())
+        else:
+            dead = [key for key, value in newest.items() if value == TOMBSTONE]
+        for key in dead:
+            del newest[key]
+    keys = sorted(newest)
+    values = list(map(newest.__getitem__, keys))
+    return Records(keys, values) if encoded else list(zip(keys, values))
 
 
 def run_compaction(
     manifest: Manifest,
     options: Options,
     job: CompactionJob,
-    build_sst: Callable[[Sequence[Tuple[bytes, bytes]]], SSTable],
+    build_sst: Callable[[Records], SSTable],
     on_file_dropped: Optional[Callable[[SSTable], None]] = None,
 ) -> List[SSTable]:
     """Execute ``job``: move or merge its inputs, update the manifest.
 
     A trivial move re-files the upper inputs one level down (their IDs
     were recorded when they were built) and drops nothing. A merge
-    splits its output into fresh SSTs; ``build_sst`` assigns each its
-    (uncoordinated) ID, which is why real deployments burn through the
-    ID space far faster than the live-file count suggests. Returns the
-    files installed at the output level.
+    carries the winning input records into fresh SSTs, cut every
+    ``max(block_entries × level0_file_limit, memtable_entries)``
+    entries; ``build_sst`` assigns each its (uncoordinated) ID, which
+    is why real deployments burn through the ID space far faster than
+    the live-file count suggests. Returns the files installed at the
+    output level.
     """
     if job.trivial_move:
         for sst in job.inputs_upper:
@@ -175,8 +181,8 @@ def run_compaction(
     # shadows lower level.
     inputs = job.inputs_upper + job.inputs_lower
     is_bottom = job.output_level == manifest.num_levels - 1
-    merged = merge_tables(
-        [sst.iter_entries() for sst in inputs], drop_tombstones=is_bottom
+    keys, records = merge_tables(
+        [sst.records() for sst in inputs], drop_tombstones=is_bottom
     )
     for sst in job.inputs_upper:
         manifest.remove_file(job.level, sst)
@@ -187,14 +193,13 @@ def run_compaction(
         if on_file_dropped is not None:
             on_file_dropped(sst)
     outputs: List[SSTable] = []
-    if merged:
-        target_entries = max(
-            options.block_entries * options.level0_file_limit,
-            options.memtable_entries,
-        )
-        for start in range(0, len(merged), target_entries):
-            chunk = merged[start : start + target_entries]
-            sst = build_sst(chunk)
-            manifest.add_file(job.output_level, sst)
-            outputs.append(sst)
+    target_entries = max(
+        options.block_entries * options.level0_file_limit,
+        options.memtable_entries,
+    )
+    for start in range(0, len(keys), target_entries):
+        stop = start + target_entries
+        sst = build_sst(Records(keys[start:stop], records[start:stop]))
+        manifest.add_file(job.output_level, sst)
+        outputs.append(sst)
     return outputs

@@ -25,8 +25,15 @@ bytes — a flipped or truncated trailer raises
 block and memoized as an ``array("I")``: four bytes per record instead
 of a tuple of heap ints, which matters because every live block keeps
 its memo. Because the validated offsets tile the record region, a full
-decode (:meth:`Block.entries`, the compaction input path) reads only the
-key length of each record; the value ends where the next record starts.
+decode reads only the key length of each record; the record ends where
+the next one starts. :meth:`Block.entries` decodes ``(key, value)``
+pairs for iterators and audits. Compaction reads :meth:`Block.records`
+instead: each key plus one slice of its whole *record*
+(``klen | key | vlen | value``), which it carries into its output
+blocks as they are. :meth:`SSTable.from_entries` builds every SST,
+flush and compaction alike, from such :class:`Records`; ``(key,
+value)`` pairs are encoded into records first, so blocks, bloom and
+live count come from one builder.
 
 An SST file (:meth:`SSTable.to_bytes`) is the ``SS\x02`` container:
 identity (fingerprint, ``file_id``), the serialized bloom filter, the
@@ -44,8 +51,8 @@ import itertools
 import struct
 from array import array
 from dataclasses import dataclass, field
-from operator import ge, itemgetter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from operator import ge
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.errors import KVStoreError
 from repro.kvstore.bloom import BloomFilter
@@ -67,7 +74,10 @@ _BLOCK_MAGIC = b"BK\xe2\x02"
 #: count:u32 + magic
 _TRAILER_FIXED = 4 + len(_BLOCK_MAGIC)
 
-_unpack_u32_from = struct.Struct(">I").unpack_from
+_U32 = struct.Struct(">I")
+_unpack_u32_from = _U32.unpack_from
+#: Record bytes around a tombstone's key: both length fields + value.
+_TOMBSTONE_RECORD_EXTRA = 8 + len(TOMBSTONE)
 
 
 def sst_filename(fingerprint: int) -> str:
@@ -81,32 +91,63 @@ def sst_filename(fingerprint: int) -> str:
     return f"{SST_PREFIX}{fingerprint:012d}{SST_SUFFIX}"
 
 
-def _encode_records(
-    entries: Sequence[Tuple[bytes, bytes]]
-) -> Tuple[List[bytes], List[int]]:
-    """Record region parts + the start offset of each record."""
-    parts: List[bytes] = []
-    offsets: List[int] = []
-    position = 0
-    for key, value in entries:
-        offsets.append(position)
-        parts.append(len(key).to_bytes(4, "big"))
-        parts.append(key)
-        parts.append(len(value).to_bytes(4, "big"))
-        parts.append(value)
-        position += 8 + len(key) + len(value)
-    return parts, offsets
+class Records(NamedTuple):
+    """Entries in their encoded form: the keys and, in the same order,
+    each key's *record*, the exact bytes a block stores for it
+    (``klen:u32 | key | vlen:u32 | value``)."""
+
+    keys: List[bytes]
+    records: List[bytes]
+
+    @classmethod
+    def encode(cls, entries: Iterable[Tuple[bytes, bytes]]) -> "Records":
+        """Encode ``(key, value)`` pairs."""
+        pack = _U32.pack
+        keys: List[bytes] = []
+        records: List[bytes] = []
+        for key, value in entries:
+            keys.append(key)
+            records.append(
+                b"".join((pack(len(key)), key, pack(len(value)), value))
+            )
+        return cls(keys, records)
 
 
-def _encode_entries(
-    entries: Sequence[Tuple[bytes, bytes]]
-) -> Tuple[bytes, List[int]]:
-    """Block payload for (key, value) pairs + the record offsets."""
-    parts, offsets = _encode_records(entries)
-    parts.append(struct.pack(f">{len(offsets)}I", *offsets))
-    parts.append(len(offsets).to_bytes(4, "big"))
-    parts.append(_BLOCK_MAGIC)
-    return b"".join(parts), offsets
+def tombstone_keys(
+    keys: Iterable[bytes], records: Iterable[bytes]
+) -> List[bytes]:
+    """The keys whose record holds a tombstone.
+
+    ``keys`` and ``records`` are parallel; ``records`` is read twice.
+    A record holds one exactly when its value-length field equals
+    ``len(TOMBSTONE)`` and it ends with ``TOMBSTONE``: a live value may
+    merely end with those bytes. ``endswith`` screens every record in
+    C; only the records it passes have their value length checked.
+    """
+    return [
+        key
+        for key, record in itertools.compress(
+            zip(keys, records),
+            map(bytes.endswith, records, itertools.repeat(TOMBSTONE)),
+        )
+        if len(record) - len(key) == _TOMBSTONE_RECORD_EXTRA
+    ]
+
+
+def _encode_block(records: Sequence[bytes]) -> Tuple[bytes, List[int]]:
+    """Block payload for encoded records + the record offsets, which
+    accumulate from the records' lengths."""
+    offsets = list(itertools.accumulate(map(len, records), initial=0))
+    offsets.pop()  # where the record region ends, not a record start
+    return (
+        b"".join([
+            *records,
+            struct.pack(f">{len(offsets)}I", *offsets),
+            len(offsets).to_bytes(4, "big"),
+            _BLOCK_MAGIC,
+        ]),
+        offsets,
+    )
 
 
 def _parse_v2_offsets(payload: bytes) -> List[int]:
@@ -211,25 +252,45 @@ class Block:
         """Number of records, without decoding them."""
         return len(self.offsets())
 
-    def entries(self) -> List[Tuple[bytes, bytes]]:
-        """Decode the block's (key, value) pairs.
-
-        The validated offsets tile the record region, so each record
-        ends where the next one starts (the last one where the offset
-        table does) and only its key length needs reading.
-        """
-        payload = self.payload
+    def _ends(self) -> "array[int]":
+        """Where each record ends. The validated offsets tile the
+        record region, so a record ends where the next one starts and
+        the last one where the offset table does."""
         offsets = self.offsets()
         ends = offsets[1:]
-        ends.append(len(payload) - _TRAILER_FIXED - 4 * len(offsets))
+        ends.append(len(self.payload) - _TRAILER_FIXED - 4 * len(offsets))
+        return ends
+
+    def entries(self) -> List[Tuple[bytes, bytes]]:
+        """Decode the block's (key, value) pairs, reading only each
+        record's key length (see :meth:`_ends`)."""
+        payload = self.payload
         unpack_from = _unpack_u32_from
         result = []
-        for start, end in zip(offsets, ends):
+        for start, end in zip(self.offsets(), self._ends()):
             key_end = start + 4 + unpack_from(payload, start)[0]
             result.append(
                 (payload[start + 4 : key_end], payload[key_end + 4 : end])
             )
         return result
+
+    def records(self) -> Records:
+        """The block's keys and whole records, compaction's input.
+
+        Reads only each record's key length; the record is one slice
+        and its value is never decoded. Two lists of ``bytes`` hold no
+        per-entry tuple for the garbage collector to track.
+        """
+        payload = self.payload
+        unpack_from = _unpack_u32_from
+        keys: List[bytes] = []
+        records: List[bytes] = []
+        add_key, add_record = keys.append, records.append
+        for start, end in zip(self.offsets(), self._ends()):
+            key_end = start + 4 + unpack_from(payload, start)[0]
+            add_key(payload[start + 4 : key_end])
+            add_record(payload[start:end])
+        return Records(keys, records)
 
     def key_at(self, index: int) -> bytes:
         """The key of record ``index`` (slices only the key bytes)."""
@@ -314,41 +375,47 @@ class SSTable:
     def from_entries(
         cls,
         file_id: int,
-        entries: Sequence[Tuple[bytes, bytes]],
+        entries: Union[Records, Sequence[Tuple[bytes, bytes]]],
         block_entries: int,
         bloom_bits_per_key: int = 10,
     ) -> "SSTable":
-        """Build an SST from a sorted, de-duplicated entry sequence."""
-        if not entries:
+        """Build an SST from sorted, de-duplicated entries.
+
+        ``entries`` are ``(key, value)`` pairs or, as compaction passes
+        them, :class:`Records`. Pairs are encoded into records first;
+        each block is then its records joined plus their offset table.
+        """
+        if not isinstance(entries, Records):
+            entries = Records.encode(entries)
+        keys, records = entries
+        if not keys:
             raise KVStoreError("cannot build an empty SSTable")
-        keys = list(map(itemgetter(0), entries))
         if any(map(ge, keys, keys[1:])):
             index = list(map(ge, keys, keys[1:])).index(True)
             raise KVStoreError(
                 f"entries must be strictly ascending: "
                 f"{keys[index]!r} >= {keys[index + 1]!r}"
             )
-        values = list(map(itemgetter(1), entries))
-        live = len(values) - values.count(TOMBSTONE)
+        live = len(keys) - len(tombstone_keys(keys, records))
         fingerprint = next(_fingerprint_counter)
         blocks: List[Block] = []
         index_keys: List[bytes] = []
-        for block_no, start in enumerate(range(0, len(entries), block_entries)):
-            chunk = entries[start : start + block_entries]
-            payload, offsets = _encode_entries(chunk)
+        for block_no, start in enumerate(range(0, len(keys), block_entries)):
+            stop = min(start + block_entries, len(keys))
+            payload, offsets = _encode_block(records[start:stop])
             block = Block(
                 payload=payload,
-                first_key=chunk[0][0],
-                last_key=chunk[-1][0],
+                first_key=keys[start],
+                last_key=keys[stop - 1],
                 owner_fingerprint=fingerprint,
                 block_no=block_no,
             )
             block._install_offsets(offsets)
             blocks.append(block)
-            index_keys.append(chunk[-1][0])
+            index_keys.append(block.last_key)
         bloom = None
         if bloom_bits_per_key > 0:
-            bloom = BloomFilter(len(entries), bloom_bits_per_key)
+            bloom = BloomFilter(len(keys), bloom_bits_per_key)
             bloom.add_all(keys)
         return cls(
             file_id=file_id,
@@ -356,7 +423,7 @@ class SSTable:
             index_keys=index_keys,
             bloom=bloom,
             fingerprint=fingerprint,
-            entry_count=len(entries),
+            entry_count=len(keys),
             bloom_bits_per_key=bloom_bits_per_key,
             live_entries=live,
         )
@@ -516,6 +583,17 @@ class SSTable:
         """All entries in key order (tombstones included)."""
         for block in self.blocks:
             yield from block.entries()
+
+    def records(self) -> Records:
+        """Every key and its record in key order (tombstones included);
+        see :meth:`Block.records`."""
+        keys: List[bytes] = []
+        records: List[bytes] = []
+        for block in self.blocks:
+            block_keys, block_records = block.records()
+            keys += block_keys
+            records += block_records
+        return Records(keys, records)
 
     def iter_entries_from(self, start: bytes) -> Iterator[Tuple[bytes, bytes]]:
         """Entries with key >= ``start`` in key order (tombstones

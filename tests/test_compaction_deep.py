@@ -162,6 +162,54 @@ class TestCompactionCascade:
             assert file_id in live_ids
 
 
+class TestTombstoneLookalikes:
+    """Compaction recognizes a tombstone by its whole record, so a value
+    that merely resembles one stays live data down to the bottom."""
+
+    LOOKALIKES = (
+        b"x" + TOMBSTONE,
+        len(TOMBSTONE).to_bytes(4, "big") + TOMBSTONE,
+        TOMBSTONE[1:],
+        b"",
+    )
+
+    def test_lookalike_values_survive_bottom_merges(self):
+        db = MiniRocks(
+            Options(
+                memtable_entries=8,
+                block_entries=2,
+                level0_file_limit=2,
+                level_size_multiplier=2,
+                num_levels=3,
+            ),
+            rng=random.Random(11),
+        )
+        rng = random.Random(12)
+        model = {}
+        for i in range(1500):
+            key = f"k{rng.randrange(200):03d}".encode()
+            if rng.random() < 0.2:
+                db.delete(key)
+                model[key] = None
+            else:
+                value = rng.choice(self.LOOKALIKES + (f"v{i}".encode(),))
+                db.put(key, value)
+                model[key] = value
+        db.flush()
+        db.compact_all()
+        assert db.stats.compactions > db.stats.trivial_moves
+        bottom = db.manifest.level(db.manifest.num_levels - 1)
+        bottom_values = {
+            value for sst in bottom for _key, value in sst.iter_entries()
+        }
+        assert set(self.LOOKALIKES) <= bottom_values
+        assert TOMBSTONE not in bottom_values
+        for key, value in model.items():
+            assert db.get(key) == value
+        for _level, sst in db.manifest.live_files():
+            assert sst.live_entries == sst.audit_live_entry_count()
+
+
 class TestTrivialMoves:
     """A compaction whose files overlap nothing below moves them down
     with their IDs instead of rewriting them."""

@@ -1,13 +1,22 @@
 """Unit tests for MiniRocks components: memtable, bloom, WAL, SST, cache."""
 
+import random
 
 import pytest
 
 from repro.errors import ConfigurationError, KVStoreError
 from repro.kvstore.blockcache import BlockCache
 from repro.kvstore.bloom import BloomFilter
+from repro.kvstore.db import MiniRocks
 from repro.kvstore.memtable import TOMBSTONE, MemTable
-from repro.kvstore.sstable import Block, SSTable, _encode_entries, _parse_v2_offsets
+from repro.kvstore.options import Options
+from repro.kvstore.sstable import (
+    Block,
+    Records,
+    SSTable,
+    _encode_block,
+    _parse_v2_offsets,
+)
 from repro.kvstore.wal import WriteAheadLog
 
 
@@ -57,6 +66,50 @@ class TestMemTable:
         table.clear()
         assert len(table) == 0
 
+    def test_dict_fallback_matches_model(self, monkeypatch):
+        """Without ``sortedcontainers`` the buffer is a plain dict sorted
+        on read; a store on it must answer like a dict model."""
+        monkeypatch.setattr("repro.kvstore.memtable.SortedDict", None)
+        db = MiniRocks(
+            Options(memtable_entries=16, block_entries=4),
+            rng=random.Random(3),
+        )
+        assert type(db.memtable._entries) is dict
+        rng = random.Random(4)
+        model = {}
+        buffered = {}  # what the memtable holds since the last flush
+        for i in range(400):
+            key = f"k{rng.randrange(60):02d}".encode()
+            if rng.random() < 0.25:
+                db.delete(key)
+                model[key] = None
+                buffered[key] = TOMBSTONE
+            else:
+                db.put(key, f"v{i}".encode())
+                model[key] = buffered[key] = f"v{i}".encode()
+            if len(buffered) == 16:  # the put filled the memtable
+                buffered.clear()
+            if i % 50 != 49:
+                continue
+            assert list(db.memtable.sorted_entries()) == sorted(buffered.items())
+            assert list(db.memtable.entries_from(b"k30")) == [
+                (k, v) for k, v in sorted(buffered.items()) if k >= b"k30"
+            ]
+            live = sorted((k, v) for k, v in model.items() if v is not None)
+            for start, end in ((b"k10", b"k30"), (b"k00", b"k99"), (b"k25", None)):
+                assert db.scan(start, end) == [
+                    (k, v) for k, v in live if k >= start and (end is None or k < end)
+                ]
+            assert db.scan(b"k20", limit=5) == [
+                (k, v) for k, v in live if k >= b"k20"
+            ][:5]
+            for key, value in model.items():
+                assert db.get(key) == value
+            if buffered:
+                flushed = db.flush()
+                assert [k for k, _ in flushed.iter_entries()] == sorted(buffered)
+                buffered.clear()
+
 
 class TestBloomFilter:
     def test_no_false_negatives(self):
@@ -98,7 +151,7 @@ class TestWAL:
 class TestBlockEncoding:
     def test_roundtrip(self):
         entries = [(b"a", b"1"), (b"bb", b""), (b"ccc", b"xyz" * 100)]
-        payload, _ = _encode_entries(entries)
+        payload, _ = _encode_block(Records.encode(entries).records)
         block = Block(
             payload=payload, first_key=b"a", last_key=b"ccc",
             owner_fingerprint=0, block_no=0,
@@ -106,7 +159,7 @@ class TestBlockEncoding:
         assert block.entries() == entries
 
     def test_truncation_detected(self):
-        payload, _ = _encode_entries([(b"abc", b"def")])
+        payload, _ = _encode_block(Records.encode([(b"abc", b"def")]).records)
         with pytest.raises(KVStoreError):
             _parse_v2_offsets(payload[:-5] + b"\xff\xff\xff\xff")
 
@@ -180,7 +233,7 @@ class TestSSTable:
 class TestBlockCache:
     def _block(self, fingerprint=1, block_no=0):
         return Block(
-            payload=_encode_entries([(b"k", b"v")])[0],
+            payload=_encode_block(Records.encode([(b"k", b"v")]).records)[0],
             first_key=b"k",
             last_key=b"k",
             owner_fingerprint=fingerprint,

@@ -32,7 +32,7 @@ from repro.idspace.encoding import (
 from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.compaction import merge_tables
 from repro.kvstore.memtable import TOMBSTONE, MemTable
-from repro.kvstore.sstable import Block, _encode_entries
+from repro.kvstore.sstable import Block, Records, SSTable, _encode_block
 from repro.simulation.montecarlo import wilson_interval
 from repro.simulation.seeds import derive_seed
 
@@ -251,7 +251,7 @@ def test_byte_hex_base32_roundtrip(value):
     )
 )
 def test_block_encoding_roundtrip(entries):
-    payload, _ = _encode_entries(entries)
+    payload, _ = _encode_block(Records.encode(entries).records)
     block = Block(
         payload=payload, first_key=b"", last_key=b"",
         owner_fingerprint=0, block_no=0,
@@ -294,26 +294,98 @@ def test_memtable_matches_dict_model(ops):
     assert [k for k, _ in table.sorted_entries()] == sorted(model)
 
 
+#: Values a record-level tombstone check could mistake for a tombstone:
+#: each is live data.
+TOMBSTONE_LOOKALIKES = (
+    b"x" + TOMBSTONE,
+    len(TOMBSTONE).to_bytes(4, "big") + TOMBSTONE,
+    TOMBSTONE[1:],
+    b"",
+)
+
 #: One sorted run of unique keys from a small key space, so runs
-#: overlap; each value is a tombstone about half the time.
+#: overlap; each value is a tombstone about a third of the time.
 SORTED_RUN = st.dictionaries(
     st.integers(0, 30).map(lambda index: b"key%02d" % index),
-    st.one_of(st.just(TOMBSTONE), st.binary(max_size=8)),
+    st.one_of(
+        st.just(TOMBSTONE),
+        st.binary(max_size=8),
+        st.sampled_from(TOMBSTONE_LOOKALIKES),
+    ),
     max_size=20,
 ).map(lambda run: sorted(run.items()))
+
+
+def _record(key, value):
+    """A block record, encoded by hand: ``klen | key | vlen | value``."""
+    return len(key).to_bytes(4, "big") + key + len(value).to_bytes(4, "big") + value
 
 
 @FAST
 @given(runs=st.lists(SORTED_RUN, max_size=6))
 def test_merge_tables_matches_dict_model(runs):
-    model = {}
-    for run in reversed(runs):  # oldest first: newer runs overwrite
-        model.update(run)
-    expected = sorted(model.items())
+    # Reference: each key takes the value of the first run, newest
+    # first, that holds it.
+    expected = []
+    for key in sorted({key for run in runs for key, _ in run}):
+        value = next(v for run in runs for k, v in run if k == key)
+        expected.append((key, value))
+    live = [(key, value) for key, value in expected if value != TOMBSTONE]
     assert merge_tables(runs, drop_tombstones=False) == expected
-    assert merge_tables(runs, drop_tombstones=True) == [
-        (key, value) for key, value in expected if value != TOMBSTONE
+    assert merge_tables(runs, drop_tombstones=True) == live
+    # The same runs in their encoded form (compaction's) merge alike.
+    record_runs = [Records.encode(run) for run in runs]
+    for drop, want in ((False, expected), (True, live)):
+        merged = merge_tables(record_runs, drop_tombstones=drop)
+        if not runs:  # no run to tell the form by: the empty pair list
+            assert merged == []
+            continue
+        assert merged.keys == [key for key, _ in want]
+        assert merged.records == [_record(key, value) for key, value in want]
+
+
+#: Strictly ascending entries holding tombstones, empty values and
+#: tombstone lookalikes.
+ASCENDING_ENTRIES = st.dictionaries(
+    st.binary(min_size=1, max_size=12),
+    st.one_of(
+        st.binary(max_size=40),
+        st.just(TOMBSTONE),
+        st.sampled_from(TOMBSTONE_LOOKALIKES),
+    ),
+    min_size=1,
+    max_size=40,
+).map(lambda entries: sorted(entries.items()))
+
+
+@FAST
+@given(
+    entries=ASCENDING_ENTRIES,
+    block_entries=st.integers(1, 8),
+    source_block_entries=st.integers(1, 8),
+    bloom_bits=st.sampled_from([0, 4, 10]),
+)
+def test_record_form_builds_the_pair_form_sst(
+    entries, block_entries, source_block_entries, bloom_bits
+):
+    """Records sliced out of one SST's blocks, as compaction reads
+    them, build the SST the ``(key, value)`` pairs build."""
+    from_pairs = SSTable.from_entries(1, entries, block_entries, bloom_bits)
+    source = SSTable.from_entries(2, entries, source_block_entries, 0)
+    from_records = SSTable.from_entries(
+        1, source.records(), block_entries, bloom_bits
+    )
+    assert [block.payload for block in from_records.blocks] == [
+        block.payload for block in from_pairs.blocks
     ]
+    assert from_records._index_keys == from_pairs._index_keys
+    if bloom_bits:
+        assert from_records.bloom.to_bytes() == from_pairs.bloom.to_bytes()
+    else:
+        assert from_records.bloom is None and from_pairs.bloom is None
+    assert from_records.entry_count == from_pairs.entry_count == len(entries)
+    live = sum(1 for _, value in entries if value != TOMBSTONE)
+    assert from_records.live_entries == from_pairs.live_entries == live
 
 
 # -- statistics ------------------------------------------------------------------
