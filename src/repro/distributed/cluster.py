@@ -239,6 +239,10 @@ class ClusterSimulator:
             node.name: node for node in self.nodes
         }
         self.ring = HashRing([node.name for node in self.nodes], vnodes=vnodes)
+        #: The ring's replica-name tuples mapped to their nodes; names
+        #: never change owner, and membership changes empty it so it
+        #: holds only the current ring's sets.
+        self._replica_sets: Dict[Tuple[str, ...], Tuple[Node, ...]] = {}
         self.migration_events: List[MigrationEvent] = []
         #: (action, node name, operation count at the time) — the
         #: chaos audit trail.
@@ -281,14 +285,15 @@ class ClusterSimulator:
             return _LEGACY_VERSION, _FLAG_VALUE, stored
         return version, flag, payload
 
-    def preference_nodes(self, key: bytes) -> List[Node]:
+    def preference_nodes(self, key: bytes) -> Tuple[Node, ...]:
         """The key's replica set, primary first (alive or not)."""
-        return [
-            self._by_name[name]
-            for name in self.ring.preference_list(
-                key, self.replication_factor
+        names = self.ring.preference_list(key, self.replication_factor)
+        nodes = self._replica_sets.get(names)
+        if nodes is None:
+            nodes = self._replica_sets[names] = tuple(
+                self._by_name[name] for name in names
             )
-        ]
+        return nodes
 
     def node_for_key(self, key: bytes) -> Node:
         """Back-compat shim: the key's *primary* owner.
@@ -690,6 +695,7 @@ class ClusterSimulator:
         self.nodes.append(node)
         self._by_name[node.name] = node
         self.ring.add_node(node.name)
+        self._replica_sets.clear()
         self.repair_replicas()
         return node
 
@@ -730,6 +736,7 @@ class ClusterSimulator:
                 f"replication_factor={self.replication_factor}"
             )
         self.ring.remove_node(target.name)
+        self._replica_sets.clear()
         for key, envelope in self._hints.pop(target.name, {}).items():
             version = decode_envelope(envelope)[0]
             for owner in self.preference_nodes(key):

@@ -2,9 +2,13 @@
 
 The ring replaces the seed repo's static ``crc32(key) % n`` routing:
 each member owns ``vnodes`` points on a 64-bit circle, a key belongs
-to the first point at or after its own hash (wrapping), and a key's
+to the first point strictly after its own hash (wrapping; a key that
+hashes exactly onto a point belongs to the next one), and a key's
 **preference list** is the first ``rf`` *distinct* members clockwise
 from that point — the replica set used by quorum reads and writes.
+The lists are precomputed: per replication factor, a table holds each
+point's list, built on first use and dropped whenever membership
+changes, so a lookup is one hash and one bisect.
 
 Why a ring:
 
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -59,6 +63,9 @@ class HashRing:
         #: Sorted, parallel arrays: ring point -> owning member name.
         self._points: List[int] = []
         self._owners: List[str] = []
+        #: rf -> the preference list starting at each point (see
+        #: :meth:`_build_table`); emptied on every membership change.
+        self._tables: Dict[int, List[Tuple[str, ...]]] = {}
         for name in members:
             self.add_node(name)
 
@@ -82,6 +89,7 @@ class HashRing:
                 index += 1
             self._points.insert(index, point)
             self._owners.insert(index, name)
+        self._tables.clear()
 
     def remove_node(self, name: str) -> None:
         """Remove ``name``'s virtual points (its arcs fall to successors)."""
@@ -95,6 +103,7 @@ class HashRing:
         ]
         self._points = [point for point, _ in keep]
         self._owners = [owner for _, owner in keep]
+        self._tables.clear()
 
     @property
     def members(self) -> List[str]:
@@ -106,32 +115,41 @@ class HashRing:
 
     # -- routing ------------------------------------------------------------
 
-    def key_point(self, key: bytes) -> int:
-        """The key's own position on the circle."""
-        return _hash64(key)
-
-    def preference_list(self, key: bytes, rf: int = 1) -> List[str]:
+    def preference_list(self, key: bytes, rf: int = 1) -> Tuple[str, ...]:
         """The first ``rf`` distinct members clockwise from ``key``.
 
         The first entry is the key's *primary*; the rest are its
         replica successors. Pure in (member set, vnodes, key, rf).
         """
-        if rf < 1:
-            raise ConfigurationError("rf must be >= 1")
-        if rf > len(self._members):
-            raise ConfigurationError(
-                f"rf={rf} exceeds ring membership ({len(self._members)})"
-            )
-        start = bisect.bisect_right(self._points, self.key_point(key))
-        seen: List[str] = []
-        total = len(self._points)
-        for step in range(total):
-            owner = self._owners[(start + step) % total]
-            if owner not in seen:
-                seen.append(owner)
-                if len(seen) == rf:
-                    break
-        return seen
+        table = self._tables.get(rf)
+        if table is None:
+            if rf < 1:
+                raise ConfigurationError("rf must be >= 1")
+            if rf > len(self._members):
+                raise ConfigurationError(
+                    f"rf={rf} exceeds ring membership ({len(self._members)})"
+                )
+            table = self._tables[rf] = self._build_table(rf)
+        return table[bisect.bisect_right(self._points, _hash64(key))]
+
+    def _build_table(self, rf: int) -> List[Tuple[str, ...]]:
+        """Entry ``i`` is the first ``rf`` distinct owners walking
+        clockwise from point ``i``; one extra entry past the last point
+        wraps to the first, so a bisect result indexes it directly."""
+        owners = self._owners
+        total = len(owners)
+        table: List[Tuple[str, ...]] = []
+        for start in range(total):
+            seen: List[str] = []
+            for step in range(total):
+                owner = owners[(start + step) % total]
+                if owner not in seen:
+                    seen.append(owner)
+                    if len(seen) == rf:
+                        break
+            table.append(tuple(seen))
+        table.append(table[0])
+        return table
 
     def primary(self, key: bytes) -> str:
         """The member owning ``key`` (first on the preference list)."""

@@ -6,12 +6,17 @@ file ID the store ever assigned. A durable store commits the version
 whole (:meth:`Manifest.encode_state`) after every change.
 
 L0 files may overlap each other (they are flushed memtables, newest
-first); L1+ files are kept non-overlapping and sorted by min_key.
+first); L1+ files are kept non-overlapping and sorted by min_key, so
+their max_keys ascend too. Each L1+ level keeps those max_keys in a
+list beside its files: a point read bisects it for the one file that
+can hold the key, and adding or removing a file inserts or deletes one
+entry at a bisected position.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import KVStoreError
@@ -35,6 +40,9 @@ class Manifest:
             raise KVStoreError("need at least 2 levels")
         self.num_levels = num_levels
         self._levels: List[List[SSTable]] = [[] for _ in range(num_levels)]
+        #: Per level, the max_key of each file, in file order (L1+
+        #: only; L0's list stays empty).
+        self._max_keys: List[List[bytes]] = [[] for _ in range(num_levels)]
         #: Every file id this store ever assigned (for uniqueness audits).
         self.assigned_ids: List[int] = []
 
@@ -76,16 +84,18 @@ class Manifest:
         """Files that may contain ``key``, newest data first.
 
         L0 is scanned newest-to-oldest (all files, ranges overlap);
-        at L1+ at most one file per level can contain the key.
+        at L1+ at most one file per level can contain the key: the
+        first whose max_key is not below it, if its min_key is not
+        above it.
         """
         for sst in self._levels[0]:
             if sst.min_key <= key <= sst.max_key:
                 yield 0, sst
         for level_index in range(1, self.num_levels):
-            for sst in self._levels[level_index]:
-                if sst.min_key <= key <= sst.max_key:
-                    yield level_index, sst
-                    break  # non-overlapping: only one candidate per level
+            files = self._levels[level_index]
+            position = bisect_left(self._max_keys[level_index], key)
+            if position < len(files) and files[position].min_key <= key:
+                yield level_index, files[position]
 
     # -- edits -------------------------------------------------------------
 
@@ -96,25 +106,37 @@ class Manifest:
         if level == 0:
             self._levels[0].insert(0, sst)
         else:
-            for existing in self._levels[level]:
-                if existing.overlaps(sst):
-                    raise KVStoreError(
-                        f"overlap at L{level}: {existing!r} vs {sst!r}"
-                    )
-            self._levels[level].append(sst)
-            self._levels[level].sort(key=lambda s: s.min_key)
+            # Files before ``position`` end below ``sst``; the file at
+            # it is the only one that can overlap, and if it does not,
+            # ``sst`` slots in before it.
+            files, max_keys = self._levels[level], self._max_keys[level]
+            position = bisect_left(max_keys, sst.min_key)
+            if position < len(files) and files[position].min_key <= sst.max_key:
+                raise KVStoreError(
+                    f"overlap at L{level}: {files[position]!r} vs {sst!r}"
+                )
+            files.insert(position, sst)
+            max_keys.insert(position, sst.max_key)
         if record_id:
             self.assigned_ids.append(sst.file_id)
 
     def remove_file(self, level: int, sst: SSTable) -> None:
         """Remove a live file (by identity) from ``level``."""
         self._check_level(level)
-        try:
-            self._levels[level].remove(sst)
-        except ValueError:
+        files = self._levels[level]
+        if level == 0:
+            position = next(
+                (i for i, live in enumerate(files) if live is sst), len(files)
+            )
+        else:
+            position = bisect_left(self._max_keys[level], sst.max_key)
+        if position == len(files) or files[position] is not sst:
             raise KVStoreError(
                 f"file {sst.file_id} not live at level {level}"
-            ) from None
+            )
+        del files[position]
+        if level:
+            del self._max_keys[level][position]
 
     def detach_file(self, level: int, sst: SSTable) -> None:
         """Remove for migration (the file lives on at another node)."""

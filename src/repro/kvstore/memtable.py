@@ -4,13 +4,12 @@ MiniRocks keeps recent writes in a :class:`MemTable`; deletes are
 recorded as tombstones so they can shadow older SST entries until
 compaction drops them. Keys and values are ``bytes``.
 
-The buffer is **incrementally sorted** (a ``sortedcontainers``
-``SortedDict`` — the skiplist stand-in real engines use): puts and
-gets stay O(log n), but flush emits the entries in key order with no
-sort, ``sorted_entries`` streams, and a seeked scan starts mid-keyspace
-via :meth:`entries_from` without materializing the whole table. When
-``sortedcontainers`` is absent the class degrades to the original
-hash-map-plus-sort-on-flush (same results, flush pays the sort).
+The buffer is **one plain dict**, so a put or a get is one hash
+lookup. Key order is computed on demand: the first flush or scan after
+a new key arrives sorts the keys once, and the sorted key list is
+memoized until the next new key. Overwrites keep the memo, because
+entries are read back through the dict and so always carry the latest
+value. A seeked scan bisects the memo and starts mid-keyspace.
 
 Byte size is tracked incrementally on put/delete/clear, so
 :meth:`approximate_size` is O(1) instead of a full walk.
@@ -19,24 +18,23 @@ Byte size is tracked incrementally on put/delete/clear, so
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import KVStoreError
-
-try:  # soft dependency: degrade to dict + sort-on-read
-    from sortedcontainers import SortedDict
-except ImportError:  # pragma: no cover - exercised on bare hosts
-    SortedDict = None
 
 #: Sentinel stored for deleted keys.
 TOMBSTONE: bytes = b"\x00__repro_tombstone__\x00"
 
 
 class MemTable:
-    """A mutable buffer kept in key order (see module docstring)."""
+    """A mutable buffer whose key order is sorted on demand (see the
+    module docstring)."""
 
     def __init__(self) -> None:
-        self._entries = SortedDict() if SortedDict is not None else {}
+        self._entries: Dict[bytes, bytes] = {}
+        #: The keys in ascending order, or None once a new key arrived.
+        self._sorted_keys: Optional[List[bytes]] = None
         self._approximate_bytes = 0
 
     def __len__(self) -> int:
@@ -50,6 +48,7 @@ class MemTable:
         previous = self._entries.get(key)
         if previous is None:
             self._approximate_bytes += len(key) + len(value)
+            self._sorted_keys = None
         else:
             self._approximate_bytes += len(value) - len(previous)
         self._entries[key] = value
@@ -70,33 +69,37 @@ class MemTable:
         """Return the buffered value, the tombstone, or None if absent."""
         return self._entries.get(key)
 
+    def _keys_in_order(self) -> List[bytes]:
+        keys = self._sorted_keys
+        if keys is None:
+            keys = self._sorted_keys = sorted(self._entries)
+        return keys
+
     def sorted_entries(self) -> Iterator[Tuple[bytes, bytes]]:
         """All entries (including tombstones) in ascending key order.
 
-        Streams the already-sorted structure — no per-call sort. The
-        buffer must not be mutated while the iterator is live (flush
-        and scan both drain it before writing).
+        Sorts only if a new key arrived since the last ordered read.
+        The buffer must not be mutated while the iterator is live
+        (flush and scan both drain it before writing).
         """
-        if SortedDict is not None:
-            return iter(self._entries.items())
-        return iter(sorted(self._entries.items()))
+        entries = self._entries
+        return ((key, entries[key]) for key in self._keys_in_order())
 
     def entries_from(self, start: bytes) -> Iterator[Tuple[bytes, bytes]]:
         """Entries with key >= ``start`` in ascending key order.
 
-        O(log n) positioning plus O(rows read) — a seeked scan no
-        longer materializes (or sorts) the entries below ``start``.
+        Bisects the sorted keys, so the entries below ``start`` are
+        never read.
         """
+        keys = self._keys_in_order()
         entries = self._entries
-        if SortedDict is not None:
-            return ((key, entries[key]) for key in entries.irange(start))
-        ordered = sorted(entries.items())
-        keys = [key for key, _ in ordered]
-        return iter(ordered[bisect.bisect_left(keys, start):])
+        first = bisect.bisect_left(keys, start)
+        return ((key, entries[key]) for key in islice(keys, first, None))
 
     def clear(self) -> None:
         """Drop everything (after a successful flush)."""
         self._entries.clear()
+        self._sorted_keys = None
         self._approximate_bytes = 0
 
 

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.distributed import ring as ring_module
 from repro.distributed.cluster import ClusterSimulator, decode_envelope
 from repro.distributed.ring import HashRing
 from repro.errors import ClusterUnavailableError, ConfigurationError
@@ -50,7 +51,55 @@ def key_with_primary(sim, node, start=0):
     raise AssertionError("unreachable")
 
 
+def clockwise_walk(ring, point, rf):
+    """Reference routing: walk ``ring``'s points clockwise from the
+    first one strictly after ``point`` (wrapping) and keep the first
+    ``rf`` distinct owners."""
+    points, owners = ring._points, ring._owners
+    start = next((i for i, p in enumerate(points) if p > point), 0)
+    seen = []
+    for step in range(len(points)):
+        owner = owners[(start + step) % len(points)]
+        if owner not in seen:
+            seen.append(owner)
+    return tuple(seen[:rf])
+
+
 class TestHashRing:
+    @pytest.mark.parametrize("members", range(1, 7))
+    def test_table_matches_clockwise_walk(self, members, monkeypatch):
+        """Keys hashing just before, and exactly onto, every ring point
+        route like the clockwise walk over a ring built fresh from the
+        same members, for every rf, before and after a join and a
+        leave."""
+        vnodes = 3
+        ring = HashRing([f"n{i}" for i in range(members)], vnodes=vnodes)
+
+        def check():
+            fresh = HashRing(ring.members, vnodes=vnodes)
+            probes = [0, 2**64 - 1]
+            for point in fresh._points:
+                probes += [point - 1, point]
+            with monkeypatch.context() as patch:
+                # A key's bytes are its hash, so a probe can land anywhere.
+                patch.setattr(
+                    ring_module, "_hash64", lambda key: int.from_bytes(key, "big")
+                )
+                for probe in probes:
+                    key = probe.to_bytes(8, "big")
+                    for rf in range(1, len(ring) + 1):
+                        assert ring.preference_list(key, rf) == clockwise_walk(
+                            fresh, probe, rf
+                        )
+
+        check()
+        ring.add_node("n_new")
+        check()
+        ring.remove_node("n0")
+        check()
+        with pytest.raises(ConfigurationError):
+            ring.preference_list(b"k", members + 1)  # its table was built
+
     def test_preference_list_distinct_members(self):
         ring = HashRing([f"n{i}" for i in range(5)])
         for key in (b"a", b"b", b"hello", b"user42"):
@@ -340,6 +389,29 @@ class TestQuorumReplication:
         # ...and every key still reads back correctly.
         for index in range(80):
             assert sim.get(f"k{index:04d}".encode()) == b"v%d" % index
+
+    def test_routing_follows_membership_changes(self):
+        """After add_node and decommission, every key routes to the
+        replica names of a ring built fresh from the member set."""
+        sim = ClusterSimulator(
+            4, small_options, seed=15, replication_factor=3, vnodes=8
+        )
+        keys = [f"k{index:04d}".encode() for index in range(300)]
+
+        def check():
+            fresh = HashRing(sim.ring.members, vnodes=8)
+            for key in keys:
+                names = tuple(node.name for node in sim.preference_nodes(key))
+                assert names == fresh.preference_list(key, 3)
+
+        for key in keys:
+            sim.put(key, b"v")
+        check()
+        sim.add_node()
+        check()
+        sim.decommission("node1")
+        check()
+        assert all(sim.get(key) == b"v" for key in keys)
 
     def test_ring_rebalance_moves_ssts_toward_owners(self):
         sim = ClusterSimulator(3, small_options, seed=14)

@@ -66,15 +66,13 @@ class TestMemTable:
         table.clear()
         assert len(table) == 0
 
-    def test_dict_fallback_matches_model(self, monkeypatch):
-        """Without ``sortedcontainers`` the buffer is a plain dict sorted
-        on read; a store on it must answer like a dict model."""
-        monkeypatch.setattr("repro.kvstore.memtable.SortedDict", None)
+    def test_matches_model(self):
+        """A store answers like a dict model while its memtable fills,
+        is scanned, flushes and refills."""
         db = MiniRocks(
             Options(memtable_entries=16, block_entries=4),
             rng=random.Random(3),
         )
-        assert type(db.memtable._entries) is dict
         rng = random.Random(4)
         model = {}
         buffered = {}  # what the memtable holds since the last flush
@@ -109,6 +107,28 @@ class TestMemTable:
                 flushed = db.flush()
                 assert [k for k, _ in flushed.iter_entries()] == sorted(buffered)
                 buffered.clear()
+
+    def test_ordered_reads_see_writes_since_the_last_scan(self):
+        """A scan memoizes the sorted keys. A new key must drop the
+        memo, and an overwrite must read back its new value."""
+        db = MiniRocks(
+            Options(memtable_entries=16, block_entries=4),
+            rng=random.Random(3),
+        )
+        for key in (b"k40", b"k50", b"k60"):
+            db.put(key, b"old")
+        assert db.scan(b"k45", b"k99") == [(b"k50", b"old"), (b"k60", b"old")]
+        db.put(b"k10", b"new")  # a new key below that scan's start
+        db.put(b"k50", b"new")  # an overwrite of a buffered key
+        expected = [
+            (b"k10", b"new"), (b"k40", b"old"), (b"k50", b"new"), (b"k60", b"old")
+        ]
+        assert db.scan(b"k00", b"k99") == expected
+        assert db.scan(b"k00", limit=10) == expected
+        db.put(b"k60", b"new")  # an overwrite while the memo is current
+        expected[-1] = (b"k60", b"new")
+        assert db.scan(b"k45", b"k99") == expected[2:]
+        assert list(db.flush().iter_entries()) == expected
 
 
 class TestBloomFilter:

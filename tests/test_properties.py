@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from repro.core.cluster import ClusterGenerator
 from repro.core.cluster_star import ClusterStarGenerator
 from repro.core.intervals import CircularIntervalSet, split_arc
 from repro.core.random_gen import RandomGenerator
+from repro.errors import KVStoreError
 from repro.idspace.encoding import (
     id_from_base32,
     id_from_bytes,
@@ -31,6 +33,7 @@ from repro.idspace.encoding import (
 )
 from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.compaction import merge_tables
+from repro.kvstore.manifest import Manifest
 from repro.kvstore.memtable import TOMBSTONE, MemTable
 from repro.kvstore.sstable import Block, Records, SSTable, _encode_block
 from repro.simulation.montecarlo import wilson_interval
@@ -292,6 +295,88 @@ def test_memtable_matches_dict_model(ops):
     for key, expected in model.items():
         assert table.get(key) == expected
     assert [k for k, _ in table.sorted_entries()] == sorted(model)
+
+
+def _linear_candidates(manifest, key):
+    """Reference point-read lookup: scan every level's files in order."""
+    found = []
+    for level in range(manifest.num_levels):
+        for sst in manifest.level(level):
+            if sst.min_key <= key <= sst.max_key:
+                found.append((level, sst))
+                if level:
+                    break
+    return found
+
+
+@FAST
+@given(
+    edits=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("add"), st.integers(0, 3), st.integers(0, 59),
+                st.integers(0, 6),
+            ),
+            st.tuples(
+                st.just("remove"), st.integers(0, 3), st.integers(0, 30),
+                st.just(0),
+            ),
+            st.tuples(
+                st.just("move"), st.integers(0, 2), st.integers(0, 30),
+                st.just(0),
+            ),
+        ),
+        max_size=40,
+    )
+)
+def test_manifest_lookup_matches_linear_scan(edits):
+    """Point-read candidates and add/remove checks agree with a linear
+    scan of each level through adds, removes and trivial moves."""
+    manifest = Manifest(4)
+    probes = [b"k", b"z"] + [b"k%02d" % i for i in range(62)]
+    file_ids = iter(range(1, 10**6))
+
+    def build(first, last):
+        keys = sorted({b"k%02d" % first, b"k%02d" % last})
+        return SSTable.from_entries(
+            next(file_ids), [(key, b"v") for key in keys], 4
+        )
+
+    def install(level, sst, record_id=True):
+        if level and any(live.overlaps(sst) for live in manifest.level(level)):
+            before = manifest.level(level)
+            with pytest.raises(KVStoreError):
+                manifest.add_file(level, sst, record_id)
+            assert manifest.level(level) == before
+            return False
+        manifest.add_file(level, sst, record_id)
+        return True
+
+    for op, level, pick, width in edits:
+        files = manifest.level(level)
+        if op == "add":
+            install(level, build(pick, min(pick + width, 59)))
+        elif files:
+            sst = files[pick % len(files)]
+            if op == "remove":
+                # A twin of a live file (same keys) is not that file.
+                twin = SSTable.from_entries(
+                    next(file_ids), list(sst.iter_entries()), 4
+                )
+                with pytest.raises(KVStoreError):
+                    manifest.remove_file(level, twin)
+                manifest.remove_file(level, sst)
+            else:  # a trivial move, as compaction does it
+                manifest.remove_file(level, sst)
+                if not install(level + 1, sst, record_id=False):
+                    manifest.add_file(level, sst, record_id=False)
+        for index in range(1, manifest.num_levels):
+            ordered = manifest.level(index)
+            assert all(x.max_key < y.min_key for x, y in zip(ordered, ordered[1:]))
+        for key in probes:
+            assert list(manifest.candidates_for_key(key)) == _linear_candidates(
+                manifest, key
+            )
 
 
 #: Values a record-level tombstone check could mistake for a tombstone:
