@@ -14,8 +14,8 @@ family does not cover simply skip that family's rules.
   devtools package itself (the linter and sanitizer name the banned
   entry points in order to police them).
 * **REPRO2xx decoder bounds** — the binary decoders: the RPC wire
-  protocol, the WAL record framing, the SST container, and the bloom
-  filter serialization.
+  protocol, the WAL record framing, the SST container, the bloom
+  filter serialization, and the cluster's row envelopes.
 * **REPRO3xx asyncio hygiene** and **REPRO4xx exception discipline**
   — everywhere (3xx only fires inside ``async def`` anyway).
 * **REPRO5xx API invariants** — everywhere; the config-dataclass and
@@ -108,6 +108,7 @@ DEFAULT_POLICY = Policy(
                 "*/wal.py",
                 "*/sstable.py",
                 "*/bloom.py",
+                "*/distributed/cluster.py",
             ),
         ),
         FamilyScope(family="REPRO3", include=("*",)),

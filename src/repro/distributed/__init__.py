@@ -33,7 +33,6 @@ from repro.distributed.migration import (
     UniquenessAudit,
     audit_id_uniqueness,
     migrate_coldest_to_warmest,
-    migrate_random,
     migrate_to_ring_owners,
 )
 from repro.distributed.node import Node
@@ -66,7 +65,6 @@ __all__ = [
     "decode_envelope",
     "encode_envelope",
     "migrate_coldest_to_warmest",
-    "migrate_random",
     "migrate_to_ring_owners",
     "network_flush_and_report",
     "network_target_factory",

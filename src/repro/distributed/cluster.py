@@ -26,12 +26,12 @@ Since PR 5 the fleet is a *replicated, fault-tolerant* serving system:
   copies and dead replicas never surface old rows or resurrect
   deletes.
 
-Envelope format: cluster-managed rows are stored in each node's
-MiniRocks as ``MAGIC | version:8 (big-endian) | flag | payload``;
-``flag`` distinguishes values from cluster-level tombstones (deletes
-are versioned writes, so LWW applies to them too). Rows written
-directly to a node (bypassing the cluster) decode as version ``-1``
-legacy values and lose to any cluster-managed copy.
+Row contract: every row a node holds is an *envelope* this cluster
+wrote, ``MAGIC | version:8 (big-endian) | flag | payload``; ``flag``
+distinguishes values from cluster-level tombstones (deletes are
+versioned writes, so LWW applies to them too). The read paths enforce
+the contract: a row without the envelope header, or versioned past
+the cluster's logical clock, raises :class:`~repro.errors.KVStoreError`.
 """
 
 from __future__ import annotations
@@ -49,9 +49,12 @@ from repro.distributed.migration import (
 )
 from repro.distributed.node import Node
 from repro.distributed.ring import HashRing
-from repro.errors import ClusterUnavailableError, ConfigurationError
+from repro.errors import (
+    ClusterUnavailableError,
+    ConfigurationError,
+    KVStoreError,
+)
 from repro.kvstore.blockcache import BlockCache
-from repro.kvstore.memtable import TOMBSTONE
 from repro.kvstore.options import Options
 from repro.kvstore.storage import SimulatedStorage
 from repro.simulation.seeds import derive_seed, rng_for
@@ -60,13 +63,12 @@ from repro.simulation.seeds import derive_seed, rng_for
 _STORAGE_LABEL = 0x57A9
 _RESTART_LABEL = 0x9E0B
 
-#: First byte of every cluster-managed envelope.
+#: First byte of every envelope.
 _ENVELOPE_MAGIC = 0xE4
+#: Envelope header: magic, version:8, flag.
+_HEADER_LEN = 10
 _FLAG_VALUE = 0
 _FLAG_TOMBSTONE = 1
-#: Version reported for rows that predate envelopes (direct node
-#: writes); they lose LWW to any cluster-managed copy.
-_LEGACY_VERSION = -1
 
 
 def encode_envelope(version: int, flag: int, payload: bytes) -> bytes:
@@ -80,22 +82,23 @@ def encode_envelope(version: int, flag: int, payload: bytes) -> bytes:
 
 
 def decode_envelope(stored: bytes) -> Tuple[int, int, bytes]:
-    """Unpack ``(version, flag, payload)``; legacy raw rows come back
-    as ``(_LEGACY_VERSION, _FLAG_VALUE, stored)``.
+    """Unpack ``(version, flag, payload)`` from one envelope.
 
-    This is the *syntactic* decode. Cluster read paths go through
-    ``ClusterSimulator._decode``, which additionally rejects versions
-    beyond the cluster's logical clock — a raw row that merely starts
-    with the magic byte (1 in 256 of random values) would otherwise
-    parse as an astronomically-versioned envelope and win LWW forever.
+    Raises :class:`~repro.errors.KVStoreError` on a row without the
+    envelope header (too short, wrong magic byte, or an unknown flag).
+    This is the *syntactic* decode; cluster read paths go through
+    ``ClusterSimulator._decode``, which also rejects versions beyond
+    the cluster's logical clock.
     """
-    if len(stored) >= 10 and stored[0] == _ENVELOPE_MAGIC:
-        return (
-            int.from_bytes(stored[1:9], "big"),
-            stored[9],
-            stored[10:],
+    if (
+        len(stored) < _HEADER_LEN
+        or stored[0] != _ENVELOPE_MAGIC
+        or stored[9] > _FLAG_TOMBSTONE
+    ):
+        raise KVStoreError(
+            f"row is not a cluster envelope: {stored[:_HEADER_LEN]!r}"
         )
-    return _LEGACY_VERSION, _FLAG_VALUE, stored
+    return int.from_bytes(stored[1:9], "big"), stored[9], stored[10:]
 
 
 def majority(replication_factor: int) -> int:
@@ -273,17 +276,17 @@ class ClusterSimulator:
         return self._clock
 
     def _decode(self, stored: bytes) -> Tuple[int, int, bytes]:
-        """Decode with a structural sanity bound: this cluster never
-        issued a version beyond its logical clock, so anything higher
-        is a raw row that happens to start with the magic byte — treat
-        it as legacy (version −1) rather than letting a forged header
-        win LWW forever. (A direct node write that mimics the header
-        *within* the clock range remains indistinguishable; cluster-
-        managed data should be written through the cluster.)"""
-        version, flag, payload = decode_envelope(stored)
-        if version > self._clock:
-            return _LEGACY_VERSION, _FLAG_VALUE, stored
-        return version, flag, payload
+        """:func:`decode_envelope` plus a structural bound: this
+        cluster never issued a version beyond its logical clock, so a
+        row claiming one breaks the row contract and raises
+        :class:`~repro.errors.KVStoreError` instead of winning LWW."""
+        decoded = decode_envelope(stored)
+        if decoded[0] > self._clock:
+            raise KVStoreError(
+                f"envelope version {decoded[0]} is past the cluster "
+                f"clock {self._clock}"
+            )
+        return decoded
 
     def preference_nodes(self, key: bytes) -> Tuple[Node, ...]:
         """The key's replica set, primary first (alive or not)."""
@@ -294,16 +297,6 @@ class ClusterSimulator:
                 self._by_name[name] for name in names
             )
         return nodes
-
-    def node_for_key(self, key: bytes) -> Node:
-        """Back-compat shim: the key's *primary* owner.
-
-        Pre-ring code used this for single-copy routing; it now
-        returns the first node on the ring preference list, regardless
-        of aliveness. Replicated reads/writes go through the quorum paths
-        instead.
-        """
-        return self.preference_nodes(key)[0]
 
     def live_nodes(self) -> List[Node]:
         """The nodes currently alive, in declaration order."""
@@ -458,43 +451,24 @@ class ClusterSimulator:
         """
         merged: Dict[bytes, Tuple[int, int, bytes]] = {}
         frontier: Optional[bytes] = None
-        # Ask for one extra live row so a full window is
-        # distinguishable from an exactly-exhausted node.
+        # Ask for one extra row so a full window is distinguishable
+        # from an exactly-exhausted node.
         request = None if per_node is None else per_node + 1
         for node in self.nodes:
             if not node.alive:
                 continue
-            # include_tombstones: a *node-level* MiniRocks tombstone
-            # (legacy direct delete) must reach the merge, or a stale
-            # migrated copy would resurrect the key.
-            rows = node.scan(start, end, request, include_tombstones=True)
-            if request is not None:
-                live = sum(1 for _, v in rows if v != TOMBSTONE)
-                if live >= request:
-                    last_key = rows[-1][0]
-                    if frontier is None or last_key < frontier:
-                        frontier = last_key
+            rows = node.scan(start, end, request)
+            if request is not None and len(rows) >= request:
+                last_key = rows[-1][0]
+                if frontier is None or last_key < frontier:
+                    frontier = last_key
             for key, stored in rows:
-                if stored == TOMBSTONE:
-                    decoded = (_LEGACY_VERSION, _FLAG_TOMBSTONE, b"")
-                else:
-                    decoded = self._decode(stored)
+                decoded = self._decode(stored)
                 current = merged.get(key)
-                # LWW by version; the seed's owner-wins rule survives
-                # as the tie-break for *legacy* rows only (direct node
-                # writes, all version −1). Enveloped ties are skipped
-                # on purpose: equal versions mean the same cluster
-                # write, so the copies are byte-identical and a ring
-                # lookup per tie would only slow replicated scans.
-                if (
-                    current is None
-                    or decoded[0] > current[0]
-                    or (
-                        decoded[0] == current[0]
-                        and decoded[0] == _LEGACY_VERSION
-                        and self.node_for_key(key) is node
-                    )
-                ):
+                # LWW by version. Equal versions mean the same cluster
+                # write, so the copies are byte-identical and the first
+                # one seen stands.
+                if current is None or decoded[0] > current[0]:
                     merged[key] = decoded
         return merged, frontier
 
@@ -569,11 +543,18 @@ class ClusterSimulator:
         ``replay_hints=False`` to model lost hints (the queue is
         discarded) — the node then serves stale data until read-repair
         or :meth:`repair_replicas` converges it. Returns the number of
-        hints applied.
+        hints applied. A decommissioned node owns no keys and cannot
+        come back: recovering one raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         target = self._resolve(node)
         if target.alive:
             raise ConfigurationError(f"{target.name} is already alive")
+        if target.name not in self.ring.members:
+            raise ConfigurationError(
+                f"{target.name} was decommissioned; it is no longer a "
+                "ring member"
+            )
         if target.storage is not None and target.storage.crashed:
             index = self.nodes.index(target)
             target.reopen(
@@ -587,19 +568,27 @@ class ClusterSimulator:
         applied = 0
         if replay_hints:
             for key, envelope in hints.items():
-                current = target.get(key)
-                if (
-                    current is None
-                    or self._decode(current)[0]
-                    < decode_envelope(envelope)[0]
-                ):
-                    target.put(key, envelope)
-                    applied += 1
+                applied += self._write_if_newer(
+                    target, key, decode_envelope(envelope)[0], envelope
+                )
             self.hints_replayed += applied
         self.fault_events.append(
             ("recover", target.name, self._operations)
         )
         return applied
+
+    def _write_if_newer(
+        self, node: Node, key: bytes, version: int, envelope: bytes
+    ) -> bool:
+        """Put ``envelope`` (at ``version``) on ``node`` unless the node
+        already holds ``key`` at that version or newer — the LWW guard
+        every hint replay and repair copy goes through. True if it
+        wrote."""
+        current = node.get(key)
+        if current is not None and self._decode(current)[0] >= version:
+            return False
+        node.put(key, envelope)
+        return True
 
     def hints_outstanding(self) -> int:
         """Distinct keys still queued for dead replicas."""
@@ -660,19 +649,12 @@ class ClusterSimulator:
         merged, _ = self._merge_node_scans(b"", None, None)
         repaired = 0
         for key, (version, flag, payload) in merged.items():
-            if version == _LEGACY_VERSION:
-                continue  # direct node writes are not cluster-managed
             envelope = encode_envelope(version, flag, payload)
             for node in self.preference_nodes(key):
-                if not node.alive:
-                    continue
-                current = node.get(key)
-                if (
-                    current is None
-                    or self._decode(current)[0] < version
-                ):
-                    node.put(key, envelope)
-                    repaired += 1
+                if node.alive:
+                    repaired += self._write_if_newer(
+                        node, key, version, envelope
+                    )
         return repaired
 
     def add_node(self, name: Optional[str] = None) -> Node:
@@ -741,12 +723,7 @@ class ClusterSimulator:
             version = decode_envelope(envelope)[0]
             for owner in self.preference_nodes(key):
                 if owner.alive:
-                    current = owner.get(key)
-                    if (
-                        current is None
-                        or self._decode(current)[0] < version
-                    ):
-                        owner.put(key, envelope)
+                    self._write_if_newer(owner, key, version, envelope)
                 else:
                     queue = self._hints.setdefault(owner.name, {})
                     queued = queue.get(key)
@@ -821,7 +798,3 @@ class ClusterSimulator:
             read_escalations=self.read_escalations,
             fault_events=list(self.fault_events),
         )
-
-    def total_files_assigned(self) -> int:
-        """IDs minted across the fleet so far."""
-        return sum(len(node.db.assigned_file_ids()) for node in self.nodes)

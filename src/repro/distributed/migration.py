@@ -4,6 +4,12 @@ Migration is *why* uncoordinated IDs must be globally unique: a file
 minted on node A, cached under ``(file_id, block)`` keys, moves to node
 B while node C may independently mint the same ``file_id``. The audit
 functions here measure exactly that.
+
+Two policies move files, both behind
+:meth:`~repro.distributed.cluster.ClusterSimulator.rebalance`:
+:func:`migrate_coldest_to_warmest` chases load, and
+:func:`migrate_to_ring_owners` moves files back to their keys'
+replica sets.
 """
 
 from __future__ import annotations
@@ -47,36 +53,6 @@ def migrate_coldest_to_warmest(
         exportable = donor.exportable_files()
         if not exportable:
             break
-        level, sst = exportable[rng.randrange(len(exportable))]
-        donor.export_file(level, sst)
-        receiver.import_file(level, sst)
-        events.append(
-            MigrationEvent(
-                file_id=sst.file_id,
-                fingerprint=sst.fingerprint,
-                source=donor.name,
-                destination=receiver.name,
-                level=level,
-            )
-        )
-    return events
-
-
-def migrate_random(
-    nodes: Sequence[Node], rng: random.Random, moves: int
-) -> List[MigrationEvent]:
-    """Shuffle files between random node pairs (stress-test pattern)."""
-    if len(nodes) < 2:
-        raise ConfigurationError("migration needs >= 2 nodes")
-    events: List[MigrationEvent] = []
-    for _ in range(moves):
-        donor = nodes[rng.randrange(len(nodes))]
-        receiver = nodes[rng.randrange(len(nodes))]
-        if donor is receiver:
-            continue
-        exportable = donor.exportable_files()
-        if not exportable:
-            continue
         level, sst = exportable[rng.randrange(len(exportable))]
         donor.export_file(level, sst)
         receiver.import_file(level, sst)

@@ -19,7 +19,6 @@ from repro.kvstore.storage import CrashPoint, SimulatedStorage
 from repro.kvstore.wal import (
     OP_DELETE,
     OP_PUT,
-    DurableWAL,
     WALRecovery,
     WriteAheadLog,
     WriteMode,
@@ -48,7 +47,6 @@ __all__ = [
     "MANIFEST_NAME",
     "sst_filename",
     "WriteAheadLog",
-    "DurableWAL",
     "WriteMode",
     "WALRecovery",
     "encode_record",

@@ -1,10 +1,12 @@
 """MiniRocks — the LSM key-value store facade.
 
 A faithful miniature of the RocksDB data path the paper describes:
-writes land in a WAL + memtable, flushes build SSTs whose **file IDs
-come from an uncoordinated UUIDP generator**, reads consult the
-memtable, then per-level SST candidates through a (possibly shared)
-block cache keyed by ``(file_id, block_no)``.
+writes land in the memtable (and, on a store with storage, first in
+the WAL), flushes build SSTs whose **file IDs come from an
+uncoordinated UUIDP generator**, reads consult the memtable, then
+per-level SST candidates through a (possibly shared) block cache keyed
+by ``(file_id, block_no)``. A store without storage keeps no WAL:
+nothing it holds outlives the process, so a log would have no reader.
 
 When the cache is shared with other store instances and file IDs
 collide, reads can be served another file's blocks. With
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import takewhile
-from typing import Iterable, List, Optional, Tuple, Union
+from itertools import islice, takewhile
+from typing import List, Optional, Tuple
 
 from repro.errors import CorruptionDetectedError, KVStoreError
 from repro.kvstore.blockcache import BlockCache
@@ -38,7 +40,6 @@ from repro.kvstore.storage import SimulatedStorage
 from repro.kvstore.wal import (
     OP_PUT,
     SEGMENT_PREFIX,
-    DurableWAL,
     WALRecovery,
     WriteAheadLog,
     read_segments,
@@ -104,7 +105,8 @@ class MiniRocks:
         point atomically (write-then-rename), and construction
         *recovers* whatever state the storage holds — committed SSTs
         plus a replay of the live WAL segments. Without one, the store
-        is the original in-memory simulation.
+        is the original in-memory simulation and keeps no WAL
+        (:attr:`wal` is ``None``).
     """
 
     def __init__(
@@ -129,11 +131,9 @@ class MiniRocks:
         #: (durable regardless of WAL sync state).
         self._flushed_through = 0
         self._wal_floor = 0
-        self.wal: Union[WriteAheadLog, DurableWAL]
+        self.wal: Optional[WriteAheadLog] = None
         if storage is not None:
             self._open_durable()
-        else:
-            self.wal = WriteAheadLog()
 
     @classmethod
     def open(
@@ -210,7 +210,7 @@ class MiniRocks:
         existing = [
             segment_index(n) for n in storage.list(SEGMENT_PREFIX)
         ]
-        self.wal = DurableWAL(
+        self.wal = WriteAheadLog(
             storage,
             write_mode=self.options.write_mode,
             batch_size=self.options.wal_batch_size,
@@ -263,7 +263,8 @@ class MiniRocks:
         ``BATCH``; at the next flush under ``NOSYNC``). Returns None
         on the in-memory store.
         """
-        seqno = self.wal.append_put(key, value)
+        wal = self.wal
+        seqno = None if wal is None else wal.append_put(key, value)
         self.memtable.put(key, value)
         self.stats.puts += 1
         self._maybe_flush()
@@ -272,7 +273,8 @@ class MiniRocks:
     def delete(self, key: bytes) -> Optional[int]:
         """Delete ``key`` (writes a tombstone). Returns the WAL seqno
         on a durable store (see :meth:`put` for the ack contract)."""
-        seqno = self.wal.append_delete(key)
+        wal = self.wal
+        seqno = None if wal is None else wal.append_delete(key)
         self.memtable.delete(key)
         self.stats.deletes += 1
         self._maybe_flush()
@@ -284,21 +286,21 @@ class MiniRocks:
         durable: covered by a committed SST or a completed WAL group
         fsync, whichever is further along."""
         durable = self._flushed_through
-        if isinstance(self.wal, DurableWAL):
+        if self.wal is not None:
             durable = max(durable, self.wal.synced_seqno)
         return durable
 
     @property
     def last_seqno(self) -> int:
         """Seqno of the newest write issued (acknowledged or not)."""
-        if isinstance(self.wal, DurableWAL):
+        if self.wal is not None:
             return self.wal.last_seqno
         return self._flushed_through
 
     def sync_wal(self) -> None:
         """Explicit durability barrier: fsync the open WAL group now
         (no-op on the in-memory store)."""
-        if isinstance(self.wal, DurableWAL):
+        if self.wal is not None:
             self.wal.sync()
 
     # -- reads --------------------------------------------------------------
@@ -385,22 +387,23 @@ class MiniRocks:
 
     def scan(
         self, start: bytes, end: Optional[bytes] = None,
-        limit: Optional[int] = None, include_tombstones: bool = False,
+        limit: Optional[int] = None,
     ) -> List[Tuple[bytes, bytes]]:
-        """Range scan over ``[start, end)``, newest version per key.
+        """Range scan over ``[start, end)``, newest live version per key.
 
         ``end=None`` scans to the end of the key space (with ``limit``
         this is the YCSB workload-E shape: "``limit`` rows from
         ``start``"). Scans merge memtable and all live SSTs directly
         (bypassing the cache — scans in the real system use their own
-        readahead path). ``include_tombstones=True`` keeps deletion
-        markers in the result — for distributed coordinators that must
-        see this store's deletions when merging against other copies —
-        and ``limit`` then bounds **live** rows only, so markers ride
-        along without consuming the row budget.
+        readahead path); deleted keys never appear, so ``limit``
+        counts live rows.
         """
         self.stats.scans += 1
-        if end is not None and start >= end:
+        # An empty range, or a limit below 1 (a remote client can send
+        # one), returns no rows.
+        if (end is not None and start >= end) or (
+            limit is not None and limit < 1
+        ):
             return []
         if end is None and limit is not None:
             # Open-ended bounded scan (the YCSB workload-E shape):
@@ -408,40 +411,21 @@ class MiniRocks:
             # already positioned at `start` by iterate_db, so no seek
             # is needed — instead of materializing (or walking) the
             # key space on either side of the range.
-            iterator = iterate_db(self, start)
-            entries: Iterable[Tuple[bytes, bytes]] = (
-                iterator.iter_with_tombstones()
-                if include_tombstones
-                else iterator
-            )
-        else:
-            # Bounded range: resolve versions through the compaction
-            # merge, fed each source's in-range entries in
-            # read-precedence order (memtable, L0 newest first, then
-            # L1..Lmax).
-            def in_range(run):
-                if end is None:
-                    return run
-                return takewhile(lambda entry: entry[0] < end, run)
+            return list(islice(iterate_db(self, start), limit))
 
-            runs = [in_range(self.memtable.entries_from(start))]
-            for sst in self.manifest.files_newest_first():
-                if sst.max_key >= start and (
-                    end is None or sst.min_key < end
-                ):
-                    runs.append(in_range(sst.iter_entries_from(start)))
-            entries = merge_tables(
-                runs, drop_tombstones=not include_tombstones
-            )
-        result = []
-        live = 0
-        for key, value in entries:
-            if limit is not None and live >= limit:
-                break
-            result.append((key, value))
-            if value != TOMBSTONE:
-                live += 1
-        return result
+        # Bounded range: resolve versions through the compaction
+        # merge, fed each source's in-range entries in read-precedence
+        # order (memtable, L0 newest first, then L1..Lmax).
+        def in_range(run):
+            if end is None:
+                return run
+            return takewhile(lambda entry: entry[0] < end, run)
+
+        runs = [in_range(self.memtable.entries_from(start))]
+        for sst in self.manifest.files_newest_first():
+            if sst.max_key >= start and (end is None or sst.min_key < end):
+                runs.append(in_range(sst.iter_entries_from(start)))
+        return merge_tables(runs, drop_tombstones=True)[:limit]
 
     def _read_sst_block(
         self, sst: SSTable, key: bytes
@@ -502,7 +486,7 @@ class MiniRocks:
             self._persist_sst(sst, label="flush")
         self.manifest.add_file(0, sst)
         self.memtable.clear()
-        if isinstance(self.wal, DurableWAL):
+        if self.wal is not None:
             flushed = self.wal.last_seqno
             floor = self.wal.rotate()
             self._commit_manifest(wal_floor=floor, flushed_through=flushed)
@@ -512,8 +496,6 @@ class MiniRocks:
             # the commit would lose.
             self._flushed_through, self._wal_floor = flushed, floor
             self.wal.truncate_below(floor)
-        else:
-            self.wal.truncate()
         self.stats.flushes += 1
         self._maybe_compact()
         return sst

@@ -3,10 +3,11 @@
 A bounded ``scan`` materializes its range through
 :func:`~repro.kvstore.compaction.merge_tables`; an :class:`LSMIterator`
 streams — a heap-based k-way merge over the memtable and every live
-SST, with newest-wins version resolution and tombstone suppression,
-supporting ``seek(key)`` and forward iteration. It serves the
-open-ended ``limit`` scan (YCSB workload E) and ``range_count``, which
-stop after the rows they need.
+SST, with newest-wins version resolution, supporting ``seek(key)`` and
+forward iteration. It yields live rows only: a key whose newest
+version is a tombstone never surfaces. It serves the open-ended
+``limit`` scan (YCSB workload E) and ``range_count``, which stop after
+the rows they need.
 """
 
 from __future__ import annotations
@@ -79,19 +80,6 @@ class LSMIterator:
             key, value = group
             if value != TOMBSTONE:
                 return key, value
-
-    def iter_with_tombstones(self) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield ``(key, newest value)`` including tombstone markers.
-
-        Distributed scans need this: a coordinator merging per-node
-        results must see a node's deletions to stop stale migrated
-        copies on other nodes from resurrecting the key.
-        """
-        while True:
-            group = self._pop_next_version_group()
-            if group is None:
-                return
-            yield group
 
     def seek(self, key: bytes) -> None:
         """Advance past every entry with a key below ``key``.

@@ -1,30 +1,28 @@
 """Write-ahead logging: record framing, group commit, and recovery.
 
-Two implementations share the record vocabulary:
+:class:`WriteAheadLog` is the durable, segmented log over a
+:class:`~repro.kvstore.storage.SimulatedStorage`; only a
+:class:`~repro.kvstore.db.MiniRocks` with storage keeps one (a store
+without storage keeps no log, since nothing it holds outlives the
+process). Records are framed
+``seqno:8 | op:1 | klen:4 | vlen:4 | crc32:4 | key | value``
+(big-endian, CRC over everything but itself), appended to numbered
+segment files, and made durable by fsync according to a
+:class:`WriteMode`:
 
-* :class:`WriteAheadLog` — an in-memory list of records, used when a
-  :class:`MiniRocks` runs without a storage backend. It has no byte
-  format: nothing it holds outlives the process.
-* :class:`DurableWAL` — the durable, segmented log over a
-  :class:`~repro.kvstore.storage.SimulatedStorage`. Records are
-  framed ``seqno:8 | op:1 | klen:4 | vlen:4 | crc32:4 | key | value``
-  (big-endian, CRC over everything but itself), appended to numbered
-  segment files, and made durable by fsync according to a
-  :class:`WriteMode`:
-
-  - ``SYNC_EVERY_WRITE`` — fsync after every record (each write is
-    durable before it is acknowledged);
-  - ``BATCH`` — **group commit**: records accumulate and one fsync
-    acknowledges the whole group when it reaches the adaptive batch
-    size (the size doubles while groups fill on their own and halves
-    when an explicit barrier drains a partial group — amortizing
-    fsyncs under load without letting a trickle of writes sit
-    unacknowledged forever);
-  - ``NOSYNC`` — never fsync on the write path; durability arrives
-    only via flush (the SST + manifest commit covers the records).
+- ``SYNC_EVERY_WRITE`` — fsync after every record (each write is
+  durable before it is acknowledged);
+- ``BATCH`` — **group commit**: records accumulate and one fsync
+  acknowledges the whole group when it reaches the adaptive batch
+  size (the size doubles while groups fill on their own and halves
+  when an explicit barrier drains a partial group — amortizing
+  fsyncs under load without letting a trickle of writes sit
+  unacknowledged forever);
+- ``NOSYNC`` — never fsync on the write path; durability arrives
+  only via flush (the SST + manifest commit covers the records).
 
 A write is **acknowledged** once its group's fsync completes —
-:attr:`DurableWAL.synced_seqno` is the ack horizon, and everything
+:attr:`WriteAheadLog.synced_seqno` is the ack horizon, and everything
 above it is buffered page-cache data a crash may tear.
 
 Recovery (:func:`read_segments`) replays segments in index order and
@@ -53,11 +51,9 @@ from repro.kvstore.storage import SimulatedStorage
 OP_PUT = 1
 OP_DELETE = 2
 
-Record = Tuple[int, bytes, bytes]  # (op, key, value) — value empty for deletes
-
 
 class WALStatsSink(Protocol):
-    """What :class:`DurableWAL` needs from a stats object.
+    """What :class:`WriteAheadLog` needs from a stats object.
 
     Structural typing breaks the import cycle with
     :class:`~repro.kvstore.db.DBStats` (db imports wal for the log; the
@@ -162,28 +158,6 @@ def segment_index(name: str) -> int:
 
 
 class WriteAheadLog:
-    """An append-only in-memory log of (op, key, value) records."""
-
-    def __init__(self) -> None:
-        self._records: List[Record] = []
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def append_put(self, key: bytes, value: bytes) -> None:
-        """Log a put."""
-        self._records.append((OP_PUT, key, value))
-
-    def append_delete(self, key: bytes) -> None:
-        """Log a delete."""
-        self._records.append((OP_DELETE, key, b""))
-
-    def truncate(self) -> None:
-        """Discard the log (after the memtable it covers was flushed)."""
-        self._records.clear()
-
-
-class DurableWAL:
     """Segmented, checksummed, group-committed log over simulated storage.
 
     Parameters

@@ -277,6 +277,18 @@ class TestDecommission:
         with pytest.raises(ConfigurationError):
             sim2.decommission(1)
 
+    def test_a_decommissioned_node_cannot_be_recovered(self):
+        sim = ClusterSimulator(
+            4, small_options, seed=SEED, replication_factor=3
+        )
+        sim.decommission(1)
+        with pytest.raises(ConfigurationError, match="no longer a ring"):
+            sim.recover(1)
+        # The leaver stays out of every count that sizes the fleet.
+        assert len(sim.live_nodes()) == len(sim.ring) == 3
+        with pytest.raises(ConfigurationError):
+            sim.decommission(0)  # would leave 2 < RF=3 live
+
     def test_pending_hints_for_the_leaver_are_rehomed(self):
         sim = ClusterSimulator(
             4,

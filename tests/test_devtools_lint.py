@@ -625,6 +625,10 @@ def test_policy_families_for_paths():
     assert {"REPRO0", "REPRO1", "REPRO2", "REPRO6"} <= families
     nondecoder = DEFAULT_POLICY.families_for("src/repro/kvstore/db.py")
     assert "REPRO2" not in nondecoder
+    envelopes = DEFAULT_POLICY.families_for("src/repro/distributed/cluster.py")
+    assert "REPRO2" in envelopes
+    id_algorithm = DEFAULT_POLICY.families_for("src/repro/core/cluster.py")
+    assert "REPRO2" not in id_algorithm
     devtools = DEFAULT_POLICY.families_for(
         "src/repro/devtools/engine.py"
     )

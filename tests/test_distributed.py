@@ -8,7 +8,6 @@ from repro.distributed.cluster import ClusterSimulator
 from repro.distributed.migration import (
     audit_id_uniqueness,
     migrate_coldest_to_warmest,
-    migrate_random,
 )
 from repro.distributed.node import Node
 from repro.errors import ConfigurationError
@@ -87,11 +86,6 @@ class TestMigrationPolicies:
         for event in events:
             assert event.source == "heavy"
             assert event.destination == "light"
-
-    def test_migrate_random_moves_files(self):
-        nodes = [loaded_node(f"n{i}", i) for i in range(3)]
-        events = migrate_random(nodes, random.Random(1), moves=5)
-        assert len(events) >= 1
 
     def test_needs_two_nodes(self):
         with pytest.raises(ConfigurationError):

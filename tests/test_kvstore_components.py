@@ -17,7 +17,6 @@ from repro.kvstore.sstable import (
     _encode_block,
     _parse_v2_offsets,
 )
-from repro.kvstore.wal import WriteAheadLog
 
 
 class TestMemTable:
@@ -161,11 +160,15 @@ class TestBloomFilter:
 
 
 class TestWAL:
-    def test_truncate(self):
-        wal = WriteAheadLog()
-        wal.append_put(b"k", b"v")
-        wal.truncate()
-        assert len(wal) == 0
+    def test_store_without_storage_keeps_no_wal(self):
+        db = MiniRocks(Options(memtable_entries=2), rng=random.Random(0))
+        assert db.wal is None
+        assert db.put(b"a", b"1") is None
+        assert db.delete(b"b") is None  # fills the memtable: flush
+        db.sync_wal()
+        assert db.stats.flushes == 1
+        assert db.durable_seqno == db.last_seqno == 0
+        assert db.get(b"a") == b"1" and db.get(b"b") is None
 
 
 class TestBlockEncoding:

@@ -1,7 +1,7 @@
 """Durable WAL framing, group commit, recovery, and the durable store.
 
 Covers the record codec (bounds before slicing, CRC32), the
-group-commit ``DurableWAL`` under all three :class:`WriteMode`\\ s,
+group-commit ``WriteAheadLog`` under all three :class:`WriteMode`\\ s,
 segment rotation/truncation, ``read_segments`` torn-tail vs mid-log
 classification — including golden fixtures cut/corrupted at **every**
 byte boundary of the final record — and the durable
@@ -27,7 +27,7 @@ from repro.kvstore.wal import (
     OP_DELETE,
     OP_PUT,
     RECORD_HEADER,
-    DurableWAL,
+    WriteAheadLog,
     WriteMode,
     decode_record_at,
     encode_record,
@@ -84,7 +84,7 @@ class TestRecordCodec:
 class TestDurableWALGroupCommit:
     def _wal(self, mode, batch=4, seed=0):
         storage = SimulatedStorage(seed=seed)
-        return storage, DurableWAL(
+        return storage, WriteAheadLog(
             storage, write_mode=mode, batch_size=batch
         )
 
