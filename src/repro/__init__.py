@@ -13,8 +13,11 @@ Public API highlights:
   :func:`p_star_lower_bound`, :func:`p_star_upper_bound`,
   :func:`competitive_ratio_upper`;
 * the KV-store substrate: :class:`repro.kvstore.MiniRocks`,
-  :class:`repro.distributed.ClusterSimulator` (imported lazily; see
-  those subpackages).
+  :class:`repro.distributed.ClusterSimulator` (not re-exported here;
+  see those subpackages).
+
+Every name above is imported on first use (:mod:`repro._lazy`), so
+importing one subsystem does not load the others.
 
 Estimation plans
 ----------------
@@ -40,54 +43,7 @@ the worker-process count, and optionally an adaptive precision target:
   the python engine uses it for every oblivious sequential profile.
 """
 
-from repro.adversary import (
-    ClosestPairAttack,
-    DemandProfile,
-    GreedyGapAttack,
-    ObliviousAdversary,
-    PhiDistribution,
-    RunSaturationAttack,
-)
-from repro.analysis import (
-    competitive_ratio_upper,
-    exact_collision_probability,
-    optimal_uniform_collision,
-    p_star_lower_bound,
-    p_star_upper_bound,
-)
-from repro.core import (
-    BinsGenerator,
-    BinsStarGenerator,
-    ClusterGenerator,
-    ClusterStarGenerator,
-    IDGenerator,
-    RandomGenerator,
-    SkewAwareGenerator,
-    available_algorithms,
-    make_generator,
-)
-from repro.errors import (
-    ConfigurationError,
-    GameError,
-    IDSpaceExhaustedError,
-    ProfileError,
-    ReproError,
-)
-from repro.simulation import (
-    ENGINES,
-    AttackFactory,
-    Estimate,
-    Game,
-    GameResult,
-    ObliviousFactory,
-    SimulationPlan,
-    SpecFactory,
-    TrialTask,
-    estimate_collision_probability,
-    estimate_profile_collision,
-    play_profile,
-    run_plan,
-)
+from repro._lazy import lazy_getattr
 
 __version__ = "1.0.0"
 
@@ -136,3 +92,57 @@ __all__ = [
     "ProfileError",
     "IDSpaceExhaustedError",
 ]
+
+__getattr__ = lazy_getattr(
+    globals(),
+    {
+        "repro.adversary": (
+            "ClosestPairAttack",
+            "DemandProfile",
+            "GreedyGapAttack",
+            "ObliviousAdversary",
+            "PhiDistribution",
+            "RunSaturationAttack",
+        ),
+        "repro.analysis": (
+            "competitive_ratio_upper",
+            "exact_collision_probability",
+            "optimal_uniform_collision",
+            "p_star_lower_bound",
+            "p_star_upper_bound",
+        ),
+        "repro.core": (
+            "BinsGenerator",
+            "BinsStarGenerator",
+            "ClusterGenerator",
+            "ClusterStarGenerator",
+            "IDGenerator",
+            "RandomGenerator",
+            "SkewAwareGenerator",
+            "available_algorithms",
+            "make_generator",
+        ),
+        "repro.errors": (
+            "ConfigurationError",
+            "GameError",
+            "IDSpaceExhaustedError",
+            "ProfileError",
+            "ReproError",
+        ),
+        "repro.simulation": (
+            "ENGINES",
+            "AttackFactory",
+            "Estimate",
+            "Game",
+            "GameResult",
+            "ObliviousFactory",
+            "SimulationPlan",
+            "SpecFactory",
+            "TrialTask",
+            "estimate_collision_probability",
+            "estimate_profile_collision",
+            "play_profile",
+            "run_plan",
+        ),
+    },
+)

@@ -4,10 +4,10 @@
     The paper's Lemma 7 adversary, implemented literally: request one ID
     from each of ``n`` instances, find the two whose first IDs are the
     closest on the cycle, then dump the entire remaining budget on the
-    *trailing* instance of that pair so its sequential arc runs into the
-    leader's first ID. Against ``Cluster`` this forces collision
-    probability ``Ω(min(1, n²d/m))`` — a factor ``n`` worse than the
-    oblivious worst case.
+    *trailing* instance of that pair, as one run request, so its
+    sequential arc runs into the leader's first ID. Against ``Cluster``
+    this forces collision probability ``Ω(min(1, n²d/m))`` — a factor
+    ``n`` worse than the oblivious worst case.
 
 :class:`GreedyGapAttack`
     A stronger heuristic: after probing, every remaining request goes to
@@ -31,7 +31,7 @@ import bisect
 from typing import Dict, List, Optional, Tuple
 
 from repro.adversary.adaptive import AdaptiveAdversary, circular_gap
-from repro.adversary.base import GameView
+from repro.adversary.base import NEW_INSTANCE, GameView
 
 
 def closest_trailing_pair(view: GameView) -> Tuple[int, int, int]:
@@ -59,11 +59,25 @@ def closest_trailing_pair(view: GameView) -> Tuple[int, int, int]:
 
 
 class ClosestPairAttack(AdaptiveAdversary):
-    """Lemma 7's adversary: press the trailing instance of the closest pair."""
+    """Lemma 7's adversary: press the trailing instance of the closest pair.
+
+    The target is locked once the probes are in, so everything after
+    them is one run: :meth:`next_run` asks for the whole remaining
+    budget at once.
+    """
 
     def __init__(self, n: int, d: int, rng=None):
         super().__init__(n, d, rng=rng)
         self._target: Optional[int] = None
+
+    def next_run(self, view: GameView) -> Optional[Tuple[int, int]]:
+        """A probe, or the locked target for the rest of the budget."""
+        choice = self.next_request(view)
+        if choice is None:
+            return None
+        if choice == NEW_INSTANCE:
+            return (choice, 1)
+        return (choice, self.d - view.steps)
 
     def exploit(self, view: GameView) -> Optional[int]:
         """Replay the trailing end of the closest pair every remaining step."""

@@ -6,6 +6,13 @@ instance, or stops. An **oblivious** adversary commits to the final
 demand profile before the game; an **adaptive** one sees every ID as it
 is produced and decides on the fly.
 
+An adversary that has already decided its next several requests may
+ask for them as one *run* ``(instance, count)`` through
+:meth:`Adversary.next_run`; the engine then draws the run in one
+``generate_batch`` call. A run is a promise, not a new move: the game
+must come out exactly as if the adversary had returned ``instance``
+from ``next_request`` ``count`` times.
+
 The engine (:mod:`repro.simulation.game`) exposes the game state to the
 adversary through a read-only :class:`GameView`; adaptive adversaries
 base decisions on it, oblivious ones ignore it.
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import abc
 import random
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.adversary.profiles import DemandProfile
@@ -46,6 +54,13 @@ class GameView:
         if collided_now and not self._collided:
             self._collided = True
             self._collision_step = len(self._events)
+
+    def _record_run(self, instance: int, values: List[int]) -> None:
+        """Append IDs of ``instance`` that collide with nothing."""
+        while instance >= len(self._ids_by_instance):
+            self._ids_by_instance.append([])
+        self._ids_by_instance[instance].extend(values)
+        self._events.extend(zip(repeat(instance), values))
 
     # -- adversary-side observation ---------------------------------------
 
@@ -116,6 +131,20 @@ class Adversary(abc.ABC):
         * :data:`NEW_INSTANCE` to activate a fresh instance, or
         * ``None`` to stop the game.
         """
+
+    def next_run(self, view: GameView) -> Optional[Tuple[int, int]]:
+        """Return ``(instance, count)`` to request ``count`` IDs from one
+        instance in a row, or ``None`` to stop.
+
+        ``instance`` is what :meth:`next_request` would return; a run on
+        :data:`NEW_INSTANCE` activates one instance and draws all
+        ``count`` IDs from it. The game must come out as if
+        :meth:`next_request` had been asked ``count`` times, so override
+        this only where those requests are already decided. The default
+        is a run of one.
+        """
+        choice = self.next_request(view)
+        return None if choice is None else (choice, 1)
 
 
 class ObliviousAdversary(Adversary):

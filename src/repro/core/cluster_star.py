@@ -29,7 +29,7 @@ placeable size first, a practical completion the paper leaves open).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.core.base import IDGenerator
 from repro.core.intervals import CircularIntervalSet
@@ -64,8 +64,11 @@ class ClusterStarGenerator(IDGenerator):
         self._placed = CircularIntervalSet(m)
         # Mirror of the covered positions for the length-1 fast path
         # (dominant when growth=1): rejection sampling against a hash
-        # set beats rebuilding the gap structure on every run.
-        self._covered_ids: set = set()
+        # set beats rebuilding the gap structure on every run. Only
+        # that path reads it, so it is kept current while every run has
+        # length 1 and rebuilt from the arcs (None = stale) when a
+        # length-1 run follows a longer one.
+        self._covered_ids: Optional[Set[int]] = set()
         self._next_run_length = 1
         self._run_start = 0
         self._run_length = 0  # length of the currently open run
@@ -83,13 +86,20 @@ class ClusterStarGenerator(IDGenerator):
 
     def _sample_single_start(self) -> int:
         """Fast path for length-1 runs: uniform over uncovered positions."""
-        free = self.m - len(self._covered_ids)
-        if free == 0:
+        covered = self._covered_ids
+        if covered is None:
+            m = self.m
+            covered = self._covered_ids = {
+                (start + offset) % m
+                for start, length in self._placed.arcs
+                for offset in range(length)
+            }
+        if len(covered) == self.m:
             raise ValueError("cycle fully covered")
-        if 2 * len(self._covered_ids) < self.m:
+        if 2 * len(covered) < self.m:
             while True:
                 candidate = self.rng.randrange(self.m)
-                if candidate not in self._covered_ids:
+                if candidate not in covered:
                     return candidate
         return self._placed.sample_free_start(1, self.rng)
 
@@ -108,9 +118,10 @@ class ClusterStarGenerator(IDGenerator):
                 length //= 2
                 continue
             self._placed.add(start, length)
-            self._covered_ids.update(
-                (start + offset) % self.m for offset in range(length)
-            )
+            if length > 1:
+                self._covered_ids = None
+            elif self._covered_ids is not None:
+                self._covered_ids.add(start)
             self._run_start = start
             self._run_length = length
             self._run_remaining = length

@@ -10,41 +10,13 @@ any target behind the framed asyncio RPC layer of
 The fleet is also elastic: :mod:`repro.distributed.autoscaler` scales
 membership up and down (``add_node``/``decommission``) against an SLO
 under deterministic time-varying demand.
+
+The re-exports below are imported on first use (:mod:`repro._lazy`),
+so ``import repro.distributed.cluster`` loads neither the RPC layer
+(and asyncio) nor the autoscaler.
 """
 
-from repro.distributed.cluster import (
-    ClusterReport,
-    ClusterSimulator,
-    decode_envelope,
-    encode_envelope,
-)
-
-# Must come after the cluster import: the autoscaler pulls in
-# repro.workloads.demand, whose package __init__ imports the driver,
-# which needs repro.distributed.cluster already in sys.modules.
-from repro.distributed.autoscaler import (
-    Autoscaler,
-    AutoscalerConfig,
-    ScaleEvent,
-    summarize_shards,
-)
-from repro.distributed.migration import (
-    MigrationEvent,
-    UniquenessAudit,
-    audit_id_uniqueness,
-    migrate_coldest_to_warmest,
-    migrate_to_ring_owners,
-)
-from repro.distributed.node import Node
-from repro.distributed.ring import HashRing
-from repro.distributed.rpc import (
-    NetworkTarget,
-    RPCClient,
-    RPCServer,
-    ServerThread,
-    network_flush_and_report,
-    network_target_factory,
-)
+from repro._lazy import lazy_getattr
 
 __all__ = [
     "Node",
@@ -69,3 +41,38 @@ __all__ = [
     "network_flush_and_report",
     "network_target_factory",
 ]
+
+__getattr__ = lazy_getattr(
+    globals(),
+    {
+        "repro.distributed.autoscaler": (
+            "Autoscaler",
+            "AutoscalerConfig",
+            "ScaleEvent",
+            "summarize_shards",
+        ),
+        "repro.distributed.cluster": (
+            "ClusterReport",
+            "ClusterSimulator",
+            "decode_envelope",
+            "encode_envelope",
+        ),
+        "repro.distributed.migration": (
+            "MigrationEvent",
+            "UniquenessAudit",
+            "audit_id_uniqueness",
+            "migrate_coldest_to_warmest",
+            "migrate_to_ring_owners",
+        ),
+        "repro.distributed.node": ("Node",),
+        "repro.distributed.ring": ("HashRing",),
+        "repro.distributed.rpc": (
+            "NetworkTarget",
+            "RPCClient",
+            "RPCServer",
+            "ServerThread",
+            "network_flush_and_report",
+            "network_target_factory",
+        ),
+    },
+)

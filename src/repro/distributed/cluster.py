@@ -415,9 +415,11 @@ class ClusterSimulator:
         winning row or tombstone. If the frontier cuts the result
         short, the coordinator retries with doubled per-node windows —
         the pagination loop a production scatter-gather coordinator
-        runs.
+        runs. A ``limit`` below 1 returns no rows, as on a single store.
         """
         self._operations += 1
+        if limit is not None and limit < 1:
+            return []
         if limit is None:
             merged, _ = self._merge_node_scans(start, end, None)
             return [

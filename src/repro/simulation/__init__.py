@@ -1,36 +1,12 @@
 """Game engine, Monte-Carlo estimation under a :class:`SimulationPlan`
 (engines ``python`` and ``numpy``), process-parallel trial sharding,
-vectorized NumPy kernels, and seeds."""
+vectorized NumPy kernels, and seeds.
 
-from repro.simulation.batch import (
-    AttackFactory,
-    ObliviousFactory,
-    SpecFactory,
-    count_range,
-    play_trial,
-    resolve_workers,
-)
-from repro.simulation.engines import run_plan
-from repro.simulation.game import Game, GameResult, play_profile
-from repro.simulation.montecarlo import (
-    Estimate,
-    estimate_collision_probability,
-    estimate_profile_collision,
-    wilson_interval,
-)
-from repro.simulation.plan import (
-    ENGINES,
-    RoundResult,
-    SimulationPlan,
-    TrialTask,
-)
-from repro.simulation.seeds import derive_seed, rng_for, seed_stream
-from repro.simulation.vectorized import (
-    NUMPY_SEED_LABEL,
-    VectorPlan,
-    numpy_available,
-    plan_profile,
-)
+The re-exports below are imported on first use (:mod:`repro._lazy`):
+a caller that needs only :mod:`repro.simulation.seeds` does not load
+the engines or the process pool."""
+
+from repro._lazy import lazy_getattr
 
 __all__ = [
     "Game",
@@ -59,3 +35,38 @@ __all__ = [
     "numpy_available",
     "plan_profile",
 ]
+
+__getattr__ = lazy_getattr(
+    globals(),
+    {
+        "repro.simulation.batch": (
+            "AttackFactory",
+            "ObliviousFactory",
+            "SpecFactory",
+            "count_range",
+            "play_trial",
+            "resolve_workers",
+        ),
+        "repro.simulation.engines": ("run_plan",),
+        "repro.simulation.game": ("Game", "GameResult", "play_profile"),
+        "repro.simulation.montecarlo": (
+            "Estimate",
+            "estimate_collision_probability",
+            "estimate_profile_collision",
+            "wilson_interval",
+        ),
+        "repro.simulation.plan": (
+            "ENGINES",
+            "RoundResult",
+            "SimulationPlan",
+            "TrialTask",
+        ),
+        "repro.simulation.seeds": ("derive_seed", "rng_for", "seed_stream"),
+        "repro.simulation.vectorized": (
+            "NUMPY_SEED_LABEL",
+            "VectorPlan",
+            "numpy_available",
+            "plan_profile",
+        ),
+    },
+)

@@ -7,6 +7,11 @@ instances of an ID-generation algorithm and an adversary. The engine:
   internals, only the produced IDs, via the shared ``GameView``);
 * maintains the global ledger of produced IDs and flags the first
   cross-instance collision;
+* plays each request the adversary makes through
+  :meth:`~repro.adversary.base.Adversary.next_run`: a run of one ID
+  takes ``next_id``, a longer run one ``generate_batch`` call whose IDs
+  are checked against the ledger in bulk (bit-identical to ``count``
+  single steps, by ``generate_batch``'s contract);
 * optionally enforces that the final demand profile lands in a declared
   :class:`~repro.adversary.profiles.ProfileFamily` (the paper's
   ``Adv(D)`` requirement);
@@ -98,45 +103,88 @@ class Game:
         self._duplicate_guard.append(set())
         return index
 
+    def _record(self, view: GameView, target: int, value: int) -> bool:
+        """Enter one ID of ``target`` into the ledger and the view;
+        True if it collides with another instance's ID."""
+        guard = self._duplicate_guard[target]
+        if value in guard:
+            raise GameError(
+                f"generator bug: instance {target} repeated ID {value}"
+            )
+        guard.add(value)
+        collided = self._owner_of_id.setdefault(value, target) != target
+        view._record(target, value, collided)
+        return collided
+
+    def _record_run(self, view: GameView, target: int, ids: List[int]) -> bool:
+        """Record ``ids`` of ``target`` as that many single steps would;
+        True if a collision ends the game among them.
+
+        In a run that repeats no ID, the IDs before the first one already
+        in the ledger (all of them, if none is) can neither collide nor
+        repeat, so they enter the ledger and the view in bulk; the rest
+        go step by step.
+        """
+        owner = self._owner_of_id
+        fresh = dict.fromkeys(ids, target)
+        if len(fresh) < len(ids):
+            clean = 0  # a generator bug, found step by step below
+        else:
+            seen = owner.keys() & fresh.keys()
+            clean = len(ids)
+            if seen:
+                clean = next(i for i, value in enumerate(ids) if value in seen)
+                fresh = dict.fromkeys(ids[:clean], target)
+        if clean:
+            owner.update(fresh)
+            self._duplicate_guard[target].update(fresh)
+            view._record_run(target, ids[:clean])
+        for value in ids[clean:]:
+            if self._record(view, target, value) and self.stop_on_collision:
+                return True
+        return False
+
     def run(self, max_steps: Optional[int] = None) -> GameResult:
         """Play until the adversary stops, a collision ends the game
         (if ``stop_on_collision``), or ``max_steps`` is reached.
         """
         view = GameView(self.m)
         self.adversary.begin(view)
+        next_run = self.adversary.next_run
+        instances = self._instances
+        stop_on_collision = self.stop_on_collision
         exhausted = False
         while max_steps is None or view.steps < max_steps:
-            if view.collided and self.stop_on_collision:
+            request = next_run(view)
+            if request is None:
                 break
-            choice = self.adversary.next_request(view)
-            if choice is None:
-                break
-            if choice == NEW_INSTANCE:
+            target, count = request
+            if target == NEW_INSTANCE:
                 target = self._activate_instance()
-            else:
-                if not 0 <= choice < len(self._instances):
-                    raise GameError(
-                        f"adversary requested unknown instance {choice} "
-                        f"(active: {len(self._instances)})"
-                    )
-                target = choice
-            try:
-                value = self._instances[target].next_id()
-            except IDSpaceExhaustedError:
-                exhausted = True
-                break
-            if value in self._duplicate_guard[target]:
+            elif not 0 <= target < len(instances):
                 raise GameError(
-                    f"generator bug: instance {target} repeated ID {value}"
+                    f"adversary requested unknown instance {target} "
+                    f"(active: {len(instances)})"
                 )
-            self._duplicate_guard[target].add(value)
-            collided_now = (
-                value in self._owner_of_id
-                and self._owner_of_id[value] != target
-            )
-            if value not in self._owner_of_id:
-                self._owner_of_id[value] = target
-            view._record(target, value, collided_now)
+            if count == 1:
+                try:
+                    value = instances[target].next_id()
+                except IDSpaceExhaustedError:
+                    exhausted = True
+                    break
+                if self._record(view, target, value) and stop_on_collision:
+                    break
+            elif count > 1:
+                if max_steps is not None:
+                    count = min(count, max_steps - view.steps)
+                ids = instances[target].generate_batch(count)
+                if self._record_run(view, target, ids):
+                    break
+                if len(ids) < count:
+                    exhausted = True
+                    break
+            else:
+                raise GameError(f"adversary requested a run of {count} IDs")
         profile = (
             view.current_profile()
             if view.num_instances > 0

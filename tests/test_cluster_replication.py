@@ -302,6 +302,17 @@ class TestQuorumReplication:
         for limit in (1, 7, 50, 100, 140):
             assert sim.scan(b"k", limit=limit) == rows[:limit]
 
+    @pytest.mark.parametrize("limit", [0, -1, -5])
+    def test_scan_limit_below_one_returns_no_rows(self, limit):
+        # A remote scan op takes its limit from client bytes, so any
+        # int can arrive; a single store answers [] below 1.
+        sim = ClusterSimulator(3, small_options, seed=11, replication_factor=3)
+        assert sim.scan(b"k", None, limit) == []
+        for index in range(30):
+            sim.put(f"k{index:04d}".encode(), b"v")
+        assert sim.scan(b"k", None, limit) == []
+        assert sim.scan(b"k", None, 1) == [(b"k0000", b"v")]
+
     def test_rf1_scan_through_outage_is_best_effort(self):
         sim = ClusterSimulator(3, small_options, seed=10)
         for index in range(90):

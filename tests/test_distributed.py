@@ -1,9 +1,14 @@
 """Integration tests for nodes, migration, and the cluster simulator."""
 
+import importlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.distributed.cluster import ClusterSimulator
 from repro.distributed.migration import (
     audit_id_uniqueness,
@@ -182,3 +187,39 @@ class TestClusterSimulator:
                 corrupted_any = True
                 break
         assert corrupted_any, "64-ID universe must collide within 6 seeds"
+
+
+class TestLeanImports:
+    def test_cluster_import_leaves_engines_and_rpc_unloaded(self):
+        # The serving stack imports the cluster; the Monte-Carlo
+        # engines, the process pool and the RPC layer must not ride along.
+        heavy = (
+            "repro.simulation.batch",
+            "repro.simulation.vectorized",
+            "repro.distributed.rpc",
+            "asyncio",
+            "multiprocessing",
+        )
+        code = (
+            "import sys, repro.distributed.cluster\n"
+            f"print(*[name for name in {heavy!r} if name in sys.modules])"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.split() == []
+
+    @pytest.mark.parametrize(
+        "package", ["repro", "repro.simulation", "repro.distributed"]
+    )
+    def test_every_reexport_resolves(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert getattr(module, name) is not None, name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(module, "no_such_name")

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.adversary.attacks import ClosestPairAttack
 from repro.adversary.base import (
     NEW_INSTANCE,
     Adversary,
@@ -13,6 +16,7 @@ from repro.adversary.base import (
 from repro.adversary.profiles import DemandProfile, family_d1
 from repro.core.cluster import ClusterGenerator
 from repro.core.random_gen import RandomGenerator
+from repro.core.registry import make_generator
 from repro.errors import GameError
 from repro.simulation.game import Game, play_profile
 
@@ -201,3 +205,154 @@ class TestPlayProfile:
             seed=11,
         )
         assert a.collided == b.collided
+
+
+class ScriptedRuns(Adversary):
+    """Plays ``(logical instance, count)`` runs; the first run on a
+    logical instance activates it. Offers the runs through
+    :meth:`next_run` and the same requests one at a time through
+    :meth:`next_request`."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.cursor = 0
+        self.engine_index = {}
+        self.current = None
+        self.left = 0  # single requests left in the current run
+
+    def _take_run(self, view):
+        if self.cursor >= len(self.script):
+            return None
+        logical, count = self.script[self.cursor]
+        self.cursor += 1
+        if logical in self.engine_index:
+            self.current = self.engine_index[logical]
+            return self.current, count
+        self.current = self.engine_index[logical] = view.num_instances
+        return NEW_INSTANCE, count
+
+    def next_run(self, view):
+        return self._take_run(view)
+
+    def next_request(self, view):
+        if self.left == 0:
+            run = self._take_run(view)
+            if run is None:
+                return None
+            choice, self.left = run
+        else:
+            choice = self.current
+        self.left -= 1
+        return choice
+
+
+class StepOnly(Adversary):
+    """``inner`` offering only ``next_request``: every request is a run
+    of one, the engine's per-step path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def begin(self, view):
+        self.inner.begin(view)
+
+    def next_request(self, view):
+        return self.inner.next_request(view)
+
+
+def outcome(spec, m, adversary, seed, stop_on_collision, max_steps):
+    result = Game(
+        lambda m, rng: make_generator(spec, m, rng), m, adversary, seed=seed,
+        stop_on_collision=stop_on_collision, keep_transcript=True,
+    ).run(max_steps=max_steps)
+    return (
+        result.collided, result.collision_step, result.steps,
+        result.profile, result.transcript, result.exhausted,
+    )
+
+
+def assert_runs_match_steps(spec, m, make_adversary, seed, stop, max_steps):
+    ran = outcome(spec, m, make_adversary(), seed, stop, max_steps)
+    stepped = outcome(spec, m, StepOnly(make_adversary()), seed, stop, max_steps)
+    assert ran == stepped
+    return ran
+
+
+class TestRunRequests:
+    """A run request plays exactly like its single requests."""
+
+    @given(
+        spec=st.sampled_from(["cluster", "cluster*", "random", "bins:4"]),
+        m=st.integers(4, 48),
+        script=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 40)),
+            min_size=1, max_size=10,
+        ),
+        seed=st.integers(0, 2**32),
+        stop=st.booleans(),
+        max_steps=st.none() | st.integers(1, 120),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_scripted_runs_match_single_requests(
+        self, spec, m, script, seed, stop, max_steps
+    ):
+        assert_runs_match_steps(
+            spec, m, lambda: ScriptedRuns(script), seed, stop, max_steps
+        )
+
+    @given(
+        spec=st.sampled_from(["cluster", "cluster*"]),
+        m=st.integers(8, 256),
+        n=st.integers(2, 5),
+        extra=st.integers(0, 300),
+        seed=st.integers(0, 2**32),
+        stop=st.booleans(),
+        max_steps=st.none() | st.integers(1, 200),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_closest_pair_runs_match_single_requests(
+        self, spec, m, n, extra, seed, stop, max_steps
+    ):
+        assert_runs_match_steps(
+            spec, m, lambda: ClosestPairAttack(n, n + extra), seed, stop,
+            max_steps,
+        )
+
+    # Cluster at m=16, seed 1: instance 1's run of 30 wraps into
+    # instance 0's only ID, then runs out of IDs at the 16th.
+    CRASH = [(0, 1), (1, 1), (1, 30)]
+
+    def test_run_cut_by_max_steps(self):
+        collided, _, steps, profile, _, exhausted = assert_runs_match_steps(
+            "cluster", 1 << 20, lambda: ScriptedRuns([(0, 1), (1, 50)]), 1,
+            True, 20,
+        )
+        assert (steps, profile.demands, collided, exhausted) == (
+            20, (1, 19), False, False,
+        )
+
+    def test_exhaustion_inside_a_run(self):
+        collided, _, steps, _, _, exhausted = assert_runs_match_steps(
+            "cluster", 16, lambda: ScriptedRuns([(0, 30)]), 1, True, None,
+        )
+        assert (steps, collided, exhausted) == (16, False, True)
+
+    def test_collision_then_exhaustion_with_stop(self):
+        # The game ends at the collision, before the instance runs out.
+        collided, step, steps, _, _, exhausted = assert_runs_match_steps(
+            "cluster", 16, lambda: ScriptedRuns(self.CRASH), 1, True, None,
+        )
+        assert collided and not exhausted
+        assert step == steps < 17
+
+    def test_collision_then_exhaustion_without_stop(self):
+        collided, step, steps, _, _, exhausted = assert_runs_match_steps(
+            "cluster", 16, lambda: ScriptedRuns(self.CRASH), 1, False, None,
+        )
+        assert collided and exhausted
+        assert step < steps == 17
+
+    def test_run_of_zero_rejected(self):
+        game = Game(cluster_factory, 64, ScriptedRuns([(0, 0)]), seed=1)
+        with pytest.raises(GameError, match="run of 0"):
+            game.run()
