@@ -102,11 +102,6 @@ class BinsStarGenerator(IDGenerator):
             return self.m - self._count
         return max(self.scheduled_capacity - self._count, 0)
 
-    @property
-    def chosen_bins(self) -> List[int]:
-        """Bin index chosen within each chunk visited so far (0-based)."""
-        return list(self._chosen_bins)
-
     def bins_in_chunk(self, chunk_index: int) -> int:
         """Number of bins in 0-based chunk ``chunk_index``: ``2^(C−1−i)``."""
         if not 0 <= chunk_index < self.num_chunks:

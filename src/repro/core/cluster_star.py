@@ -24,12 +24,16 @@ implementation keeps producing while any valid placement exists and
 raises :class:`~repro.errors.IDSpaceExhaustedError` only when the next
 run truly cannot be placed (we shrink the final run to the largest
 placeable size first, a practical completion the paper leaves open).
+
+The instance's runs live in one
+:class:`~repro.core.intervals.CircularIntervalSet`, which places each
+new run in one call and is the only record of where the runs lie.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.base import IDGenerator
 from repro.core.intervals import CircularIntervalSet
@@ -62,13 +66,6 @@ class ClusterStarGenerator(IDGenerator):
             )
         self.growth = growth
         self._placed = CircularIntervalSet(m)
-        # Mirror of the covered positions for the length-1 fast path
-        # (dominant when growth=1): rejection sampling against a hash
-        # set beats rebuilding the gap structure on every run. Only
-        # that path reads it, so it is kept current while every run has
-        # length 1 and rebuilt from the arcs (None = stale) when a
-        # length-1 run follows a longer one.
-        self._covered_ids: Optional[Set[int]] = set()
         self._next_run_length = 1
         self._run_start = 0
         self._run_length = 0  # length of the currently open run
@@ -84,44 +81,15 @@ class ClusterStarGenerator(IDGenerator):
         """IDs not yet emitted from the currently open run."""
         return self._run_remaining
 
-    def _sample_single_start(self) -> int:
-        """Fast path for length-1 runs: uniform over uncovered positions."""
-        covered = self._covered_ids
-        if covered is None:
-            m = self.m
-            covered = self._covered_ids = {
-                (start + offset) % m
-                for start, length in self._placed.arcs
-                for offset in range(length)
-            }
-        if len(covered) == self.m:
-            raise ValueError("cycle fully covered")
-        if 2 * len(covered) < self.m:
-            while True:
-                candidate = self.rng.randrange(self.m)
-                if candidate not in covered:
-                    return candidate
-        return self._placed.sample_free_start(1, self.rng)
-
     def _open_run(self) -> None:
         """Place the next run; shrink it if the ideal length cannot fit."""
         length = self._next_run_length
         while length >= 1:
             try:
-                if length == 1:
-                    start = self._sample_single_start()
-                else:
-                    start = self._placed.sample_free_start(
-                        length, self.rng
-                    )
+                start = self._placed.place(length, self.rng)
             except ValueError:
                 length //= 2
                 continue
-            self._placed.add(start, length)
-            if length > 1:
-                self._covered_ids = None
-            elif self._covered_ids is not None:
-                self._covered_ids.add(start)
             self._run_start = start
             self._run_length = length
             self._run_remaining = length

@@ -90,13 +90,6 @@ class ProjectContext:
     policy: Policy
     units: List[ModuleUnit] = field(default_factory=list)
 
-    def unit_for(self, path: str) -> Optional[ModuleUnit]:
-        """The parsed unit for ``path``, or ``None`` if it was not linted."""
-        for unit in self.units:
-            if unit.path == path:
-                return unit
-        return None
-
 
 @dataclass
 class LintReport:

@@ -73,6 +73,9 @@ class Policy:
         "Options",
         "DriverConfig",
         "AutoscalerConfig",
+        "SimulationPlan",
+        "TrialTask",
+        "ExperimentConfig",
     )
     #: REPRO502: (class, methods) whose bodies must route through the
     #: stats attribute below.

@@ -114,19 +114,6 @@ def get_rule(code: str) -> Rule:
 # -- shared AST helpers ------------------------------------------------------
 
 
-def call_root(node: ast.AST) -> str:
-    """The leftmost name of a (possibly dotted) expression, or ``""``.
-
-    ``datetime.datetime.now`` → ``"datetime"``; ``foo().bar`` → ``""``
-    (a call in the chain means the root is not a plain module name).
-    """
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return ""
-
-
 def names_in(node: ast.AST) -> List[str]:
     """All plain :class:`ast.Name` identifiers inside ``node``."""
     return [n.id for n in ast.walk(node) if isinstance(n, ast.Name)]

@@ -4,9 +4,11 @@ These run once with every parsed module in view, because the invariant
 spans modules:
 
 * **REPRO501** — every public field of the configured config
-  dataclasses (``Options``, ``DriverConfig``) must be *consumed*: read
-  as an attribute (``options.memtable_entries``) somewhere in the
-  linted tree. A field nothing reads is either dead configuration or —
+  dataclasses (the serving stack's ``Options``, ``DriverConfig`` and
+  ``AutoscalerConfig``; the estimation stack's ``SimulationPlan``,
+  ``TrialTask`` and ``ExperimentConfig``) must be *consumed*: read as
+  an attribute (``options.memtable_entries``) somewhere in the linted
+  tree. A field nothing reads is either dead configuration or —
   worse — a knob users set that silently does nothing.
 * **REPRO502** — the configured stats contracts: each listed mutator
   of each listed class (``MiniRocks.put``/``get``/``delete``/``scan``/
@@ -65,8 +67,10 @@ class ConfigFieldConsumedRule(Rule):
     name = "config-field-consumed"
     family = "REPRO5"
     summary = (
-        "every public Options/DriverConfig field must be read "
-        "somewhere (no silently-dead config knobs)"
+        "every public field of a config dataclass (Options, "
+        "DriverConfig, AutoscalerConfig, SimulationPlan, TrialTask, "
+        "ExperimentConfig) must be read somewhere (no silently-dead "
+        "config knobs)"
     )
     project_wide = True
 

@@ -16,8 +16,7 @@ mechanisms live in this file:
   through :meth:`repro.core.base.IDGenerator.generate_batch` and
   collisions are detected with set operations. The per-trial collision
   outcome is the same as the game loop's, so estimates never change.
-  Adaptive adversaries, other orders and ``max_steps`` play the game
-  loop.
+  Adaptive adversaries and other orders play the game loop.
 * **Vectorization** — the ``numpy`` kind goes further and simulates a
   whole block of oblivious trials as array operations
   (:mod:`repro.simulation.vectorized`). Dispatch requires a
@@ -200,32 +199,23 @@ def play_trial(
     adversary_factory: AdversaryFactory,
     seed: int,
     trial: int,
-    stop_on_collision: bool = True,
-    max_steps: Optional[int] = None,
 ) -> bool:
     """Play trial number ``trial`` and return whether it collided.
 
     This is *the* definition of a trial: both the serial loop and every
     worker process call it, which is what makes estimates independent
     of how trials are scheduled. Oblivious sequential profiles take the
-    ``generate_batch`` fast path unless ``max_steps`` truncates the
-    game; everything else plays the game loop.
+    ``generate_batch`` fast path; everything else plays the game loop,
+    which ends at the first collision.
     """
-    if max_steps is None:
-        profile = _batchable_profile(adversary_factory)
-        if profile is not None:
-            return _play_profile_trial_batched(
-                factory, m, profile, derive_seed(seed, trial)
-            )
+    profile = _batchable_profile(adversary_factory)
+    if profile is not None:
+        return _play_profile_trial_batched(
+            factory, m, profile, derive_seed(seed, trial)
+        )
     adversary = adversary_factory(rng_for(seed, trial, ADVERSARY_SEED_LABEL))
-    game = Game(
-        factory,
-        m,
-        adversary,
-        seed=derive_seed(seed, trial),
-        stop_on_collision=stop_on_collision,
-    )
-    return game.run(max_steps=max_steps).collided
+    game = Game(factory, m, adversary, seed=derive_seed(seed, trial))
+    return game.run().collided
 
 
 # ---------------------------------------------------------------------------
@@ -261,43 +251,21 @@ _TrialBlock = Tuple[
     int,  # offset — first trial index of this block
     int,  # stride — number of blocks (trials offset, offset+stride, ...)
     int,  # trials — total trial count across all blocks
-    bool,  # stop_on_collision
-    Optional[int],  # max_steps
     str,  # kind — "python" or "numpy"
 ]
 
 
 def _run_trial_block(payload: _TrialBlock) -> int:
     """Play trials ``offset, offset+stride, ...`` and count collisions."""
-    (
-        factory,
-        m,
-        adversary_factory,
-        seed,
-        offset,
-        stride,
-        trials,
-        stop_on_collision,
-        max_steps,
-        kind,
-    ) = payload
-    if kind == "numpy" and max_steps is None:
+    factory, m, adversary_factory, seed, offset, stride, trials, kind = payload
+    if kind == "numpy":
         plan = _vector_plan(factory, m, adversary_factory)
         if plan is not None:
             return plan.count_collisions(seed, offset, stride, trials)
-    collisions = 0
-    for trial in range(offset, trials, stride):
-        if play_trial(
-            factory,
-            m,
-            adversary_factory,
-            seed,
-            trial,
-            stop_on_collision=stop_on_collision,
-            max_steps=max_steps,
-        ):
-            collisions += 1
-    return collisions
+    return sum(
+        play_trial(factory, m, adversary_factory, seed, trial)
+        for trial in range(offset, trials, stride)
+    )
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -322,8 +290,6 @@ def count_range(
     seed: int,
     start: int,
     stop: int,
-    stop_on_collision: bool = True,
-    max_steps: Optional[int] = None,
     kind: str = "python",
     executor: Optional[Executor] = None,
     workers: int = 1,
@@ -351,18 +317,7 @@ def count_range(
         return 0
     shards = 1 if executor is None else min(workers, stop - start)
     payloads = [
-        (
-            factory,
-            m,
-            adversary_factory,
-            seed,
-            start + shard,
-            shards,
-            stop,
-            stop_on_collision,
-            max_steps,
-            kind,
-        )
+        (factory, m, adversary_factory, seed, start + shard, shards, stop, kind)
         for shard in range(shards)
     ]
     if shards == 1:

@@ -116,8 +116,6 @@ def run_rounds(
                 seed,
                 start,
                 stop,
-                stop_on_collision=task.stop_on_collision,
-                max_steps=task.max_steps,
                 kind=kind,
                 executor=executor,
                 workers=workers,

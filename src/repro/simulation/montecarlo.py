@@ -53,8 +53,6 @@ def estimate_collision_probability(
     trials: Optional[int] = None,
     seed: Optional[int] = None,
     confidence: Optional[float] = None,
-    stop_on_collision: bool = True,
-    max_steps: Optional[int] = None,
     plan: Optional[SimulationPlan] = None,
 ) -> Estimate:
     """Play seeded games under ``plan``; return the collision frequency.
@@ -68,16 +66,9 @@ def estimate_collision_probability(
     Execution (engine choice, worker processes) belongs to the plan —
     see :class:`SimulationPlan`.
     """
-    task = TrialTask(
-        factory=factory,
-        m=m,
-        adversary_factory=adversary_factory,
-        stop_on_collision=stop_on_collision,
-        max_steps=max_steps,
-    )
     return run_plan(
         _DEFAULT_PLAN if plan is None else plan,
-        task,
+        TrialTask(factory, m, adversary_factory),
         seed=seed,
         trials=trials,
         confidence=confidence,
@@ -108,6 +99,5 @@ def estimate_profile_collision(
         trials=trials,
         seed=seed,
         confidence=confidence,
-        stop_on_collision=False,
         plan=plan,
     )

@@ -181,8 +181,6 @@ class TrialTask:
     factory: Callable[..., Any]
     m: int
     adversary_factory: Callable[..., Any]
-    stop_on_collision: bool = True
-    max_steps: Optional[int] = None
 
 
 @dataclass(frozen=True)

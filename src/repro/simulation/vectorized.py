@@ -23,9 +23,9 @@ closed-form array computation:
 ``Cluster*``   run placements are vectorized across trials round by
                round (rejection sampling against the instance's own
                previous runs — the same uniform-over-free-starts law as
-               ``CircularIntervalSet.sample_free_start``); the rare
-               trials whose placement cannot be resolved fall back to
-               the exact Python game loop.
+               ``CircularIntervalSet.place``); the rare trials whose
+               placement cannot be resolved are replayed by the python
+               engine's trial.
 =============  =========================================================
 
 Randomness is *counter-based* SplitMix64: trial ``t`` draws from the
@@ -404,7 +404,6 @@ class VectorPlan:
                 adversary_factory,
                 seed,
                 int(trial_indices[row]),
-                stop_on_collision=False,
             )
         return collided
 

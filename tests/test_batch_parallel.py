@@ -129,12 +129,10 @@ class TestExhaustionMidBatch:
                 profile = DemandProfile(demands)
                 for trial in range(40):
                     loop = play_trial(
-                        factory, 64, game_loop_adversary(profile), 11,
-                        trial, stop_on_collision=False,
+                        factory, 64, game_loop_adversary(profile), 11, trial
                     )
                     fast = play_trial(
-                        factory, 64, ObliviousFactory(profile), 11,
-                        trial, stop_on_collision=False,
+                        factory, 64, ObliviousFactory(profile), 11, trial
                     )
                     assert loop == fast, (spec, demands, trial)
 
@@ -147,7 +145,6 @@ class TestParallelDeterminism:
         estimates = [
             estimate_collision_probability(
                 SpecFactory(spec), m, adversary, trials=120, seed=17,
-                stop_on_collision=False,
                 plan=SimulationPlan(workers=workers),
             )
             for workers in (1, 2, 8)
@@ -178,7 +175,6 @@ class TestParallelDeterminism:
         legacy = estimate_collision_probability(
             lambda mm, rr: make_generator("cluster", mm, rr),
             m, game_loop_adversary(profile), trials=150, seed=9,
-            stop_on_collision=False,
         )
         shimmed = estimate_profile_collision(
             SpecFactory("cluster"), m, profile,

@@ -416,6 +416,20 @@ def test_repro501_consumption_may_cross_modules():
     assert codes(report) == []
 
 
+def test_repro501_flags_a_dead_trial_task_field():
+    report = lint_one(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class TrialTask:\n"
+        "    m: int\n"
+        "    max_steps: int = 0\n"
+        "def run(task):\n"
+        "    return task.m\n"
+    )
+    assert codes(report) == ["REPRO501"]
+    assert "TrialTask.max_steps is never read" in report.findings[0].message
+
+
 def test_repro501_ignores_non_config_dataclasses():
     clean = (
         "from dataclasses import dataclass\n"

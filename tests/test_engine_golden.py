@@ -2,9 +2,10 @@
 
 The values were recorded with a game loop that drew one ID per step
 and a Cluster* that mirrored every placed ID in a set. The engine now
-draws runs with ``generate_batch`` and Cluster* keeps that set only
-while runs have length 1; neither may move a seeded estimate, a game
-transcript or an instance's ID sequence by a single bit.
+draws runs with ``generate_batch`` and Cluster* places every run
+through one sorted list of its arcs; neither may move a seeded
+estimate, a game transcript or an instance's ID sequence by a single
+bit.
 """
 
 import hashlib

@@ -4,98 +4,11 @@ import random
 
 import pytest
 
-from repro.core.intervals import (
-    CircularIntervalSet,
-    arcs_overlap,
-    complement_linear,
-    merge_linear,
-    split_arc,
-)
+from repro.core.intervals import CircularIntervalSet
 from repro.errors import ConfigurationError
 
 
-def brute_force_positions(start: int, length: int, m: int) -> set:
-    return {(start + i) % m for i in range(min(length, m))}
-
-
-class TestSplitArc:
-    def test_non_wrapping(self):
-        assert split_arc(2, 3, 10) == [(2, 5)]
-
-    def test_wrapping(self):
-        assert split_arc(8, 4, 10) == [(8, 10), (0, 2)]
-
-    def test_full_cycle(self):
-        assert split_arc(3, 10, 10) == [(0, 10)]
-        assert split_arc(3, 15, 10) == [(0, 10)]
-
-    def test_zero_length(self):
-        assert split_arc(3, 0, 10) == []
-
-    def test_start_normalized(self):
-        assert split_arc(12, 2, 10) == [(2, 4)]
-
-    def test_matches_brute_force(self):
-        for m in (5, 9, 16):
-            for start in range(m):
-                for length in range(1, m + 1):
-                    pieces = split_arc(start, length, m)
-                    covered = set()
-                    for lo, hi in pieces:
-                        covered.update(range(lo, hi))
-                    assert covered == brute_force_positions(start, length, m)
-
-
-class TestMergeComplement:
-    def test_merge_overlapping(self):
-        assert merge_linear([(0, 3), (2, 5), (7, 8)]) == [(0, 5), (7, 8)]
-
-    def test_merge_adjacent(self):
-        assert merge_linear([(0, 3), (3, 5)]) == [(0, 5)]
-
-    def test_merge_empty(self):
-        assert merge_linear([]) == []
-
-    def test_complement_basic(self):
-        assert complement_linear([(2, 4)], 10) == [(0, 2), (4, 10)]
-
-    def test_complement_full(self):
-        assert complement_linear([(0, 10)], 10) == []
-
-    def test_complement_empty(self):
-        assert complement_linear([], 10) == [(0, 10)]
-
-
-class TestArcsOverlap:
-    def test_disjoint(self):
-        assert not arcs_overlap(0, 3, 5, 3, 10)
-
-    def test_touching_is_disjoint(self):
-        assert not arcs_overlap(0, 5, 5, 5, 10)
-
-    def test_overlap_across_wrap(self):
-        assert arcs_overlap(8, 4, 1, 2, 10)  # [8,9,0,1] vs [1,2]
-
-    def test_brute_force_agreement(self):
-        m = 11
-        for sa in range(m):
-            for la in (1, 3, 6):
-                for sb in range(m):
-                    for lb in (1, 4):
-                        expected = bool(
-                            brute_force_positions(sa, la, m)
-                            & brute_force_positions(sb, lb, m)
-                        )
-                        assert arcs_overlap(sa, la, sb, lb, m) == expected
-
-
 class TestCircularIntervalSet:
-    def test_covered_counts_union(self):
-        cis = CircularIntervalSet(20)
-        cis.add(0, 5)
-        cis.add(3, 4)  # overlaps; union is [0,7)
-        assert cis.covered() == 7
-
     def test_overlaps_detects(self):
         cis = CircularIntervalSet(20)
         cis.add(5, 5)
@@ -117,18 +30,20 @@ class TestCircularIntervalSet:
         assert cis.count_free_starts(3) == 10
 
     def test_sample_free_start_valid_and_uniform_support(self):
-        m = 16
-        cis = CircularIntervalSet(m)
-        cis.add(0, 4)
-        cis.add(8, 4)
+        def two_arcs():
+            cis = CircularIntervalSet(16)
+            cis.add(0, 4)
+            cis.add(8, 4)
+            return cis
+
         rng = random.Random(0)
         seen = set()
         for _ in range(500):
-            start = cis.sample_free_start(2, rng)
-            assert not cis.overlaps(start, 2)
+            start = two_arcs().place(2, rng)
+            assert not two_arcs().overlaps(start, 2)
             seen.add(start)
         free = set()
-        for lo, hi in cis.free_starts(2):
+        for lo, hi in two_arcs().free_starts(2):
             free.update(range(lo, hi))
         assert seen == free
 
@@ -136,12 +51,36 @@ class TestCircularIntervalSet:
         cis = CircularIntervalSet(8)
         cis.add(0, 8)
         with pytest.raises(ValueError):
-            cis.sample_free_start(1, random.Random(0))
+            cis.place(1, random.Random(0))
 
     def test_no_room_for_long_run(self):
         cis = CircularIntervalSet(10)
         cis.add(0, 5)
         assert cis.count_free_starts(6) == 0
+
+    def test_add_rejects_an_overlapping_arc(self):
+        cis = CircularIntervalSet(20)
+        cis.add(0, 5)
+        cis.add(17, 3)  # ends exactly at m, flush against the arc at 0
+        for start, length in ((3, 4), (19, 2), (16, 2), (10, 15)):
+            with pytest.raises(ConfigurationError, match="overlaps"):
+                cis.add(start, length)
+        assert cis.covered() == 8
+        assert cis.arcs == [(0, 5), (17, 3)]
+
+    def test_add_rejects_an_arc_longer_than_the_cycle(self):
+        cis = CircularIntervalSet(10)
+        with pytest.raises(ConfigurationError):
+            cis.add(0, 11)
+        cis.add(4, 10)
+        assert cis.covered() == 10
+
+    def test_run_longer_than_the_cycle_has_no_free_start(self):
+        cis = CircularIntervalSet(10)
+        assert cis.count_free_starts(10) == 10
+        assert cis.count_free_starts(11) == 0
+        with pytest.raises(ValueError):
+            cis.place(11, random.Random(0))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.adversary.profiles import DemandProfile
@@ -20,7 +20,7 @@ from repro.analysis.exact import (
 from repro.core.bins import BinsGenerator
 from repro.core.cluster import ClusterGenerator
 from repro.core.cluster_star import ClusterStarGenerator
-from repro.core.intervals import CircularIntervalSet, split_arc
+from repro.core.intervals import CircularIntervalSet
 from repro.core.random_gen import RandomGenerator
 from repro.errors import KVStoreError
 from repro.idspace.encoding import (
@@ -111,20 +111,57 @@ def test_cluster_star_runs_disjoint_and_doubling(m, seed):
 # -- interval arithmetic -------------------------------------------------------
 
 
+def disjoint_arc_set(m, arcs):
+    """The arcs that touch no earlier one, placed on ``Z_m``, and the
+    positions they cover."""
+    cis, covered = CircularIntervalSet(m), set()
+    for start, length in arcs:
+        positions = {(start + offset) % m for offset in range(min(length, m))}
+        if not positions & covered:
+            cis.add(start, min(length, m))
+            covered |= positions
+    return cis, covered
+
+
 @FAST
 @given(
-    m=st.integers(1, 1000),
-    start=st.integers(-2000, 2000),
-    length=st.integers(1, 1200),
+    m=st.integers(1, 20),
+    arcs=st.lists(st.tuples(st.integers(0, 19), st.integers(1, 20)), max_size=6),
+    seed=st.integers(0, 2**32),
 )
-def test_split_arc_covers_expected_positions(m, start, length):
-    pieces = split_arc(start, length, m)
-    covered = set()
-    for lo, hi in pieces:
-        assert 0 <= lo < hi <= m
-        covered.update(range(lo, hi))
-    expected = {(start + i) % m for i in range(min(length, m))}
-    assert covered == expected
+@example(m=10, arcs=[(8, 4), (3, 2)], seed=1)  # an arc wraps past m
+@example(m=10, arcs=[(6, 4), (0, 2)], seed=1)  # an arc ends exactly at m
+@example(m=10, arcs=[(0, 5)], seed=1)  # exactly half covered: no rejection
+def test_interval_set_matches_a_position_scan(m, arcs, seed):
+    cis, covered = disjoint_arc_set(m, arcs)
+    assert cis.covered() == len(covered)
+    for run_length in range(1, m + 2):
+        blocked = [
+            not covered.isdisjoint((x + offset) % m for offset in range(run_length))
+            for x in range(m)
+        ]
+        free = [x for x in range(m) if run_length <= m and not blocked[x]]
+        pieces = cis.free_starts(run_length)
+        assert all(0 <= lo < hi <= m for lo, hi in pieces)
+        assert [x for lo, hi in pieces for x in range(lo, hi)] == free
+        assert cis.count_free_starts(run_length) == len(free)
+        assert [cis.overlaps(x, run_length) for x in range(m)] == blocked
+        # Placement draws what the rule always drew: rejection for a
+        # single position under half coverage, else the j-th free start.
+        rng = random.Random(seed)
+        if run_length == 1 and 2 * len(covered) < m:
+            expected = rng.randrange(m)
+            while expected in covered:
+                expected = rng.randrange(m)
+        else:
+            expected = free[rng.randrange(len(free))] if free else None
+        placed, _ = disjoint_arc_set(m, cis.arcs)
+        if expected is None:
+            with pytest.raises(ValueError):
+                placed.place(run_length, random.Random(seed))
+        else:
+            assert placed.place(run_length, random.Random(seed)) == expected
+            assert placed.covered() == len(covered) + run_length
 
 
 @SLOW
@@ -137,13 +174,11 @@ def test_split_arc_covers_expected_positions(m, start, length):
     seed=st.integers(0, 2**32),
 )
 def test_sampled_free_start_never_overlaps(m, arcs, run_length, seed):
-    cis = CircularIntervalSet(m)
-    for start, length in arcs:
-        cis.add(start % m, min(length, m))
+    cis, covered = disjoint_arc_set(m, arcs)
     if cis.count_free_starts(run_length) == 0:
         return
-    start = cis.sample_free_start(run_length, random.Random(seed))
-    assert not cis.overlaps(start, run_length)
+    start = cis.place(run_length, random.Random(seed))
+    assert covered.isdisjoint((start + offset) % m for offset in range(run_length))
 
 
 # -- profile algebra ------------------------------------------------------------

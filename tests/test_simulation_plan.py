@@ -89,7 +89,7 @@ class TestSplitInvariance:
         game_loop = estimate_collision_probability(
             SpecFactory("cluster"), M,
             functools.partial(ObliviousAdversary, PROFILE, "sequential"),
-            trials=2000, seed=17, stop_on_collision=False, plan=plan,
+            trials=2000, seed=17, plan=plan,
         )
         assert _estimate(plan) == game_loop
 
