@@ -3,8 +3,8 @@
 
 Shows the storage-engine API surface beyond simple put/get — the parts
 real applications use: external SST ingestion (which mints a fresh
-uncoordinated ID, unlike migration), merging iterators with seek, and
-crash recovery from the durable write-ahead log.
+uncoordinated ID, unlike migration), key-ordered cursors that start at
+any key, and crash recovery from the durable write-ahead log.
 
 Run:  python examples/bulk_load_and_iterate.py
 """
@@ -47,8 +47,7 @@ def main() -> None:
     print(f"file IDs minted so far: {len(db.assigned_file_ids())}")
 
     # --- cursors ----------------------------------------------------------
-    iterator = iterate_db(db)
-    iterator.seek(b"user:0010")
+    iterator = iterate_db(db, b"user:0010")
     print("\nfirst 5 keys from user:0010 (note 0013 is deleted):")
     for _ in range(5):
         key, value = next(iterator)

@@ -2,20 +2,24 @@
 """The paper's motivating scenario, end to end.
 
 A fleet of MiniRocks nodes (one uncoordinated ID generator each) serves
-a YCSB workload while a balancer migrates SST files between nodes and
-all nodes share one block cache keyed by (file_id, block). We shrink
-the ID universe until collisions happen, and watch them surface as
-silently corrupted reads — then switch the generator from Random to
-Cluster and watch them (mostly) disappear.
+a YCSB workload, run by the same ``WorkloadDriver`` as experiment E11,
+while a balancer migrates SST files between nodes and all nodes share
+one block cache keyed by (file_id, block). We shrink the ID universe
+until collisions happen, and watch them surface as silently corrupted
+reads — then switch the generator from Random to Cluster and watch
+them (mostly) disappear.
 
 Run:  python examples/rocksdb_fleet.py
 """
 
-import random
-
-from repro.distributed import ClusterSimulator
 from repro.kvstore import Options
-from repro.workloads import WorkloadSpec, full_workload
+from repro.workloads import (
+    DriverConfig,
+    WorkloadDriver,
+    WorkloadSpec,
+    cluster_target_factory,
+    flush_and_report,
+)
 
 
 def run_fleet(algorithm: str, id_universe: int, seed: int) -> None:
@@ -29,19 +33,19 @@ def run_fleet(algorithm: str, id_universe: int, seed: int) -> None:
             bloom_bits_per_key=0,
         )
 
-    sim = ClusterSimulator(
-        num_nodes=6, options_factory=options, cache_blocks=4096, seed=seed
-    )
     spec = WorkloadSpec(
         workload="a", record_count=800, operation_count=4000, value_size=24
     )
-    sim.run_workload(
-        full_workload(spec, random.Random(seed)),
-        rebalance_every=250,
-        moves_per_rebalance=2,
+    config = DriverConfig(
+        spec=spec, shards=1, seed=seed,
+        rebalance_every=250, moves_per_rebalance=2,
     )
-    sim.flush_all()
-    report = sim.report()
+    driver = WorkloadDriver(
+        cluster_target_factory(6, options, cache_blocks=4096),
+        config,
+        collect=flush_and_report,
+    )
+    report = driver.run().shard_results[0].collected
     print(f"  algorithm={algorithm:10s} universe=2^{id_universe.bit_length()-1}")
     print(f"    file IDs minted:        {report.audit.total_ids_assigned}")
     print(f"    duplicate IDs:          {report.audit.collision_count}")

@@ -21,10 +21,10 @@ Since PR 5 the fleet is a *replicated, fault-tolerant* serving system:
 * **Fault injection** — :meth:`kill` makes a node unreachable (state
   preserved: an outage, not a disk wipe); writes it misses are queued
   as *hints* and replayed on :meth:`recover` (hinted handoff).
-* **Scans** — the scatter-gather merge is replica-divergence-aware:
-  per-key winners are chosen by envelope version, so stale migrated
-  copies and dead replicas never surface old rows or resurrect
-  deletes.
+* **Scans** — every live node's key-ordered stream goes through the
+  store's own merge, and per key the highest envelope version wins, so
+  stale migrated copies and dead replicas never surface old rows or
+  resurrect deletes.
 
 Row contract: every row a node holds is an *envelope* this cluster
 wrote, ``MAGIC | version:8 (big-endian) | flag | payload``; ``flag``
@@ -55,6 +55,7 @@ from repro.errors import (
     KVStoreError,
 )
 from repro.kvstore.blockcache import BlockCache
+from repro.kvstore.iterators import iterate_db, merge_rows
 from repro.kvstore.options import Options
 from repro.kvstore.storage import SimulatedStorage
 from repro.simulation.seeds import derive_seed, rng_for
@@ -401,78 +402,57 @@ class ClusterSimulator:
 
         A contiguous key range spans all nodes (keys are hash-routed),
         and after replication, SST migrations, and node churn a key
-        can surface on several nodes at different versions. The merge
-        is replica-divergence-aware: per key, the highest envelope
-        version wins — so stale migrated copies lose to the owner's
-        later writes and cluster-level tombstones keep deletions dead.
-        Dead nodes are skipped; with ``replication_factor`` > 1 the
-        surviving replicas cover their ranges (an RF=1 scan through an
-        outage is best-effort and simply misses the dead node's keys).
-
-        With a ``limit``, per-node windows are only trusted up to the
-        smallest key at which any node's window was cut (the
-        *frontier*): beyond it a node might still hold an unseen
-        winning row or tombstone. If the frontier cuts the result
-        short, the coordinator retries with doubled per-node windows —
-        the pagination loop a production scatter-gather coordinator
-        runs. A ``limit`` below 1 returns no rows, as on a single store.
+        can surface on several nodes at different versions. Per key
+        the highest envelope version wins (see :meth:`_newest_rows`),
+        so stale migrated copies lose to the owner's later writes and
+        cluster-level tombstones keep deletions dead. Dead nodes are
+        skipped; with ``replication_factor`` > 1 the surviving
+        replicas cover their ranges (an RF=1 scan through an outage is
+        best-effort and simply misses the dead node's keys). The merge
+        streams, so a ``limit`` scan reads only the rows up to its
+        last one. A ``limit`` below 1 returns no rows, as on a single
+        store.
         """
         self._operations += 1
         if limit is not None and limit < 1:
             return []
-        if limit is None:
-            merged, _ = self._merge_node_scans(start, end, None)
-            return [
-                (key, payload)
-                for key, (_version, flag, payload) in sorted(merged.items())
-                if flag != _FLAG_TOMBSTONE
-            ]
-        per_node = limit
-        while True:
-            merged, frontier = self._merge_node_scans(start, end, per_node)
-            rows = [
-                (key, payload)
-                for key, (_version, flag, payload) in sorted(merged.items())
-                if flag != _FLAG_TOMBSTONE
-                and (frontier is None or key <= frontier)
-            ]
-            if frontier is None or len(rows) >= limit:
-                return rows[:limit]
-            per_node *= 2
+        rows = (
+            (key, payload)
+            for key, (_version, flag, payload) in self._newest_rows(start, end)
+            if flag != _FLAG_TOMBSTONE
+        )
+        return list(itertools.islice(rows, limit))
 
-    def _merge_node_scans(
-        self, start: bytes, end: Optional[bytes], per_node: Optional[int]
-    ):
-        """One scatter-gather round with LWW merge semantics.
+    def _newest_rows(self, start: bytes, end: Optional[bytes] = None):
+        """Each key's winning decoded ``(version, flag, payload)``
+        across the live nodes, in key order over ``[start, end)``
+        (cluster tombstones included).
 
-        Returns ``(merged, frontier)``: ``merged`` maps each key to
-        its winning decoded ``(version, flag, payload)`` (cluster
-        tombstones included), ``frontier`` is the largest key up to
-        which **every** live node's contribution is complete (None
-        when no node's window was cut).
+        The nodes' :func:`~repro.kvstore.iterators.iterate_db` streams
+        go through the store's own merge, and every row passed on the
+        way is decoded, so a row outside the contract fails the scan.
         """
-        merged: Dict[bytes, Tuple[int, int, bytes]] = {}
-        frontier: Optional[bytes] = None
-        # Ask for one extra row so a full window is distinguishable
-        # from an exactly-exhausted node.
-        request = None if per_node is None else per_node + 1
-        for node in self.nodes:
-            if not node.alive:
-                continue
-            rows = node.scan(start, end, request)
-            if request is not None and len(rows) >= request:
-                last_key = rows[-1][0]
-                if frontier is None or last_key < frontier:
-                    frontier = last_key
-            for key, stored in rows:
-                decoded = self._decode(stored)
-                current = merged.get(key)
+        streams = [
+            iterate_db(node.db, start) for node in self.nodes if node.alive
+        ]
+        decode = self._decode
+        key, newest = None, None
+        for row_key, stored in merge_rows(streams):
+            if row_key == key:
                 # LWW by version. Equal versions mean the same cluster
                 # write, so the copies are byte-identical and the first
-                # one seen stands.
-                if current is None or decoded[0] > current[0]:
-                    merged[key] = decoded
-        return merged, frontier
+                # one stands.
+                decoded = decode(stored)
+                if decoded[0] > newest[0]:
+                    newest = decoded
+                continue
+            if newest is not None:
+                yield key, newest
+            if end is not None and row_key >= end:
+                return
+            key, newest = row_key, decode(stored)
+        if newest is not None:
+            yield key, newest
 
     # -- fault injection ----------------------------------------------------
 
@@ -648,9 +628,10 @@ class ClusterSimulator:
         (see :meth:`add_node`) or lost hints; dead nodes catch up via
         hinted handoff / read-repair after they return.
         """
-        merged, _ = self._merge_node_scans(b"", None, None)
         repaired = 0
-        for key, (version, flag, payload) in merged.items():
+        # Drained before any write: a node's stream reads its live
+        # memtable.
+        for key, (version, flag, payload) in list(self._newest_rows(b"")):
             envelope = encode_envelope(version, flag, payload)
             for node in self.preference_nodes(key):
                 if node.alive:
@@ -742,39 +723,13 @@ class ClusterSimulator:
         return target
 
     def flush_all(self) -> None:
-        """Flush every node's memtable (dead nodes included — their
-        buffered writes still mint file IDs for the audit)."""
+        """Flush every node's memtable (outage nodes included — their
+        buffered writes still mint file IDs for the audit). A crashed
+        node lost its memtable with its process, so nothing is flushed
+        for it."""
         for node in self.nodes:
-            node.db.flush()
-
-    def run_workload(
-        self,
-        operations,
-        rebalance_every: Optional[int] = None,
-        moves_per_rebalance: int = 2,
-    ) -> None:
-        """Drive a sequence of ``(op, key, value)`` operations.
-
-        ``op`` is ``"put" | "get" | "delete" | "rmw" | "scan"``; the
-        composite-op semantics (``rmw`` = get + put pair, ``scan`` =
-        up to ``int(value)`` rows from ``key``) come from the shared
-        executor :func:`repro.workloads.driver.execute_op`. With
-        ``rebalance_every=k`` the balancer runs after every k logical
-        ops — interleaving migrations with traffic, as production
-        does. For chaos schedules (kill/recover at fixed op ticks) use
-        the :class:`~repro.workloads.driver.WorkloadDriver`.
-        """
-        # Deferred import: workloads.driver imports this module.
-        from repro.workloads.driver import execute_op
-
-        for index, (op, key, value) in enumerate(operations, start=1):
-            execute_op(self, op, key, value)
-            if (
-                rebalance_every is not None
-                and index % rebalance_every == 0
-                and len(self.live_nodes()) >= 2
-            ):
-                self.rebalance(max_moves=moves_per_rebalance)
+            if node.storage is None or not node.storage.crashed:
+                node.db.flush()
 
     # -- reporting ---------------------------------------------------------
 

@@ -9,8 +9,10 @@ migrate.
 A node stores the bytes it is given and knows nothing of envelopes:
 in a :class:`~repro.distributed.cluster.ClusterSimulator` the cluster
 writes every row a node holds, and the cluster's read paths decode
-and resolve them. Migration moves whole SSTs, IDs included, between
-nodes (:meth:`Node.export_file` / :meth:`Node.import_file`).
+and resolve them (point reads through :meth:`Node.get`, scans by
+merging each live node's :func:`~repro.kvstore.iterators.iterate_db`
+stream). Migration moves whole SSTs, IDs included, between nodes
+(:meth:`Node.export_file` / :meth:`Node.import_file`).
 """
 
 from __future__ import annotations
@@ -111,15 +113,6 @@ class Node:
     def delete(self, key: bytes) -> None:
         """Delete from this node's local store."""
         self.db.delete(key)
-
-    def scan(
-        self,
-        start: bytes,
-        end: Optional[bytes] = None,
-        limit: Optional[int] = None,
-    ) -> List[Tuple[bytes, bytes]]:
-        """Ordered range scan of this node's local store."""
-        return self.db.scan(start, end, limit)
 
     # -- migration ----------------------------------------------------------
 

@@ -104,7 +104,7 @@ def _execute_op(target: Any, op: str, key: bytes, value: bytes) -> bytes:
     # Deferred import: workloads.driver imports distributed.cluster;
     # importing it at module top would still be acyclic today, but the
     # lazy import keeps protocol/server importable without dragging in
-    # the whole workload stack (and mirrors cluster.run_workload).
+    # the whole workload stack.
     from repro.workloads.driver import execute_op
 
     return execute_op(target, op, key, value)

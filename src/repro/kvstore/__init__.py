@@ -10,7 +10,7 @@ from repro.kvstore.compaction import (
     run_compaction,
 )
 from repro.kvstore.db import DBStats, MiniRocks
-from repro.kvstore.iterators import LSMIterator, iterate_db, range_count
+from repro.kvstore.iterators import iterate_db, range_count
 from repro.kvstore.manifest import MANIFEST_NAME, Manifest
 from repro.kvstore.memtable import TOMBSTONE, MemTable
 from repro.kvstore.options import Options, generator_factory_from_spec
@@ -31,7 +31,6 @@ from repro.kvstore.wal import (
 __all__ = [
     "MiniRocks",
     "DBStats",
-    "LSMIterator",
     "iterate_db",
     "range_count",
     "Options",

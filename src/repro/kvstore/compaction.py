@@ -22,7 +22,6 @@ Merging resolves versions newest-wins: the runs go into one dict
 oldest first, so a newer version overwrites an older one, and the
 surviving keys are sorted once. Tombstones are dropped only when the
 output lands on the last level (nothing older can hide beneath it).
-``MiniRocks.scan`` resolves bounded range scans through the same merge.
 
 Compaction merges *records* (``klen | key | vlen | value``, see
 :class:`~repro.kvstore.sstable.Records`), never decoded values:
@@ -38,10 +37,9 @@ give. Each output SST's bloom filter hashes its keys in bulk
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.kvstore.manifest import Manifest
-from repro.kvstore.memtable import TOMBSTONE
 from repro.kvstore.options import Options
 from repro.kvstore.sstable import Records, SSTable, tombstone_keys
 
@@ -126,32 +124,23 @@ def _can_move(upper: Sequence[SSTable], to_bottom: bool) -> bool:
 
 
 def merge_tables(
-    runs_newest_first: Iterable[Union[Records, Iterable[Tuple[bytes, bytes]]]],
-    drop_tombstones: bool,
-) -> Union[Records, List[Tuple[bytes, bytes]]]:
-    """Newest-wins merge of sorted runs.
+    runs_newest_first: Iterable[Records], drop_tombstones: bool
+) -> Records:
+    """Newest-wins merge of sorted runs of records.
 
     Each run holds unique keys in ascending order; the first run
-    shadows later runs on key ties. Runs are iterables of ``(key,
-    value)`` pairs, or all :class:`Records` (compaction's form), and
-    the result takes the form of the runs (with no runs, the empty
-    pair list). Tombstones are kept unless ``drop_tombstones``.
+    shadows later runs on key ties. Tombstones are kept unless
+    ``drop_tombstones``.
     """
     runs = list(runs_newest_first)
-    encoded = any(isinstance(run, Records) for run in runs)
     newest: Dict[bytes, bytes] = {}
     for run in reversed(runs):  # oldest first: newer versions overwrite
-        newest.update(zip(run.keys, run.records) if encoded else run)
+        newest.update(zip(run.keys, run.records))
     if drop_tombstones:
-        if encoded:
-            dead = tombstone_keys(newest, newest.values())
-        else:
-            dead = [key for key, value in newest.items() if value == TOMBSTONE]
-        for key in dead:
+        for key in tombstone_keys(newest, newest.values()):
             del newest[key]
     keys = sorted(newest)
-    values = list(map(newest.__getitem__, keys))
-    return Records(keys, values) if encoded else list(zip(keys, values))
+    return Records(keys, list(map(newest.__getitem__, keys)))
 
 
 def run_compaction(

@@ -5,8 +5,11 @@ writes land in the memtable (and, on a store with storage, first in
 the WAL), flushes build SSTs whose **file IDs come from an
 uncoordinated UUIDP generator**, reads consult the memtable, then
 per-level SST candidates through a (possibly shared) block cache keyed
-by ``(file_id, block_no)``. A store without storage keeps no WAL:
-nothing it holds outlives the process, so a log would have no reader.
+by ``(file_id, block_no)``. Scans stream the memtable and the live
+SSTs through one key-ordered merge instead
+(:func:`~repro.kvstore.iterators.iterate_db`). A store without storage
+keeps no WAL: nothing it holds outlives the process, so a log would
+have no reader.
 
 When the cache is shared with other store instances and file IDs
 collide, reads can be served another file's blocks. With
@@ -26,11 +29,7 @@ from typing import List, Optional, Tuple
 from repro.errors import CorruptionDetectedError, KVStoreError
 from repro.kvstore.blockcache import BlockCache
 from repro.kvstore.bloom import hash_pair, hash_pairs
-from repro.kvstore.compaction import (
-    merge_tables,
-    pick_compaction,
-    run_compaction,
-)
+from repro.kvstore.compaction import pick_compaction, run_compaction
 from repro.kvstore.iterators import iterate_db
 from repro.kvstore.manifest import MANIFEST_NAME, Manifest
 from repro.kvstore.memtable import TOMBSTONE, MemTable
@@ -391,41 +390,22 @@ class MiniRocks:
     ) -> List[Tuple[bytes, bytes]]:
         """Range scan over ``[start, end)``, newest live version per key.
 
-        ``end=None`` scans to the end of the key space (with ``limit``
-        this is the YCSB workload-E shape: "``limit`` rows from
-        ``start``"). Scans merge memtable and all live SSTs directly
-        (bypassing the cache — scans in the real system use their own
-        readahead path); deleted keys never appear, so ``limit``
-        counts live rows.
+        The :func:`~repro.kvstore.iterators.iterate_db` stream from
+        ``start``, cut at ``end`` (``None``: the end of the key space)
+        and after ``limit`` rows; with ``end=None`` and a ``limit`` this
+        is the YCSB workload-E shape, "``limit`` rows from ``start``".
+        Scans read the memtable and the live SSTs directly (bypassing
+        the cache — scans in the real system use their own readahead
+        path); deleted keys never appear, so ``limit`` counts live rows.
         """
         self.stats.scans += 1
-        # An empty range, or a limit below 1 (a remote client can send
-        # one), returns no rows.
-        if (end is not None and start >= end) or (
-            limit is not None and limit < 1
-        ):
+        # A limit below 1 (a remote client can send one) returns no rows.
+        if limit is not None and limit < 1:
             return []
-        if end is None and limit is not None:
-            # Open-ended bounded scan (the YCSB workload-E shape):
-            # stream through the merging iterator — sources pruned and
-            # already positioned at `start` by iterate_db, so no seek
-            # is needed — instead of materializing (or walking) the
-            # key space on either side of the range.
-            return list(islice(iterate_db(self, start), limit))
-
-        # Bounded range: resolve versions through the compaction
-        # merge, fed each source's in-range entries in read-precedence
-        # order (memtable, L0 newest first, then L1..Lmax).
-        def in_range(run):
-            if end is None:
-                return run
-            return takewhile(lambda entry: entry[0] < end, run)
-
-        runs = [in_range(self.memtable.entries_from(start))]
-        for sst in self.manifest.files_newest_first():
-            if sst.max_key >= start and (end is None or sst.min_key < end):
-                runs.append(in_range(sst.iter_entries_from(start)))
-        return merge_tables(runs, drop_tombstones=True)[:limit]
+        rows = iterate_db(self, start)
+        if end is not None:
+            rows = takewhile(lambda row: row[0] < end, rows)
+        return list(islice(rows, limit))
 
     def _read_sst_block(
         self, sst: SSTable, key: bytes

@@ -493,8 +493,8 @@ def execute_op(target: Any, op: str, key: bytes, value: bytes) -> bytes:
     This is **the** executor for the composite ops of
     :mod:`repro.workloads.ycsb` — ``rmw`` performs its get + put pair,
     ``scan`` reads up to ``int(value)`` rows from ``key`` — shared by
-    the driver and ``ClusterSimulator.run_workload`` so the two can
-    never drift on op semantics.
+    the driver and the RPC server, so the two can never drift on op
+    semantics.
 
     A target exposing ``execute(op, key, value)`` (a
     :class:`~repro.distributed.rpc.NetworkTarget`) receives the whole

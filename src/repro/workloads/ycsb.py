@@ -1,9 +1,10 @@
 """YCSB-style workload generators for the KV substrate.
 
-Generates streams of ``(op, key, value)`` tuples consumable by
-:meth:`repro.distributed.cluster.ClusterSimulator.run_workload`, a
-single :class:`~repro.kvstore.db.MiniRocks`, or the
-:class:`~repro.workloads.driver.WorkloadDriver`. The standard mixes:
+Generates streams of ``(op, key, value)`` tuples, which the
+:class:`~repro.workloads.driver.WorkloadDriver` executes against a
+:class:`~repro.kvstore.db.MiniRocks` store or a
+:class:`~repro.distributed.cluster.ClusterSimulator` fleet. The
+standard mixes:
 
 ====  ======================  =====================
 name  mix                     distribution
@@ -160,11 +161,3 @@ def run_phase(
             index = picker.pick(rng)
             length = rng.randrange(1, spec.max_scan_length + 1)
             yield "scan", encode_key(index), str(length).encode()
-
-
-def full_workload(
-    spec: WorkloadSpec, rng: random.Random
-) -> Iterator[Operation]:
-    """Load phase followed by the run phase."""
-    yield from load_phase(spec, rng)
-    yield from run_phase(spec, rng)

@@ -73,6 +73,22 @@ def clockwise_walk(ring, point, rf):
     return tuple(seen[:rf])
 
 
+def e11_options():
+    """E11-sized stores: a run flushes, compacts and migrates files."""
+    return Options(memtable_entries=16, block_entries=8, level0_file_limit=3)
+
+
+def driver_fingerprint(target_factory, workload, **config):
+    """The outcome fingerprint of one seeded 500-record, 1,200-op
+    shard of ``workload`` on the target ``target_factory`` builds."""
+    spec = WorkloadSpec(
+        workload=workload, record_count=500, operation_count=1200
+    )
+    return WorkloadDriver(
+        target_factory, DriverConfig(spec=spec, shards=1, seed=0, **config)
+    ).run().fingerprint
+
+
 class TestHashRing:
     @pytest.mark.parametrize("members", range(1, 7))
     def test_table_matches_clockwise_walk(self, members, monkeypatch):
@@ -390,6 +406,20 @@ class TestQuorumReplication:
         assert sim.get(key) == b"new"
         assert dict(sim.scan(b"k"))[key] == b"new"
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP direction 4: load-policy migration imports SSTs "
+            "that shadow newer rows, so an RF=1 fleet answers some "
+            "reads with stale values"
+        ),
+    )
+    def test_rf1_load_rebalancing_gives_the_single_store_answers(self):
+        expected = driver_fingerprint(store_target_factory(e11_options), "a")
+        assert driver_fingerprint(
+            cluster_target_factory(4, e11_options), "a", rebalance_every=50
+        ) == expected
+
     def test_quorum_validation(self):
         with pytest.raises(ConfigurationError):
             ClusterSimulator(3, small_options, replication_factor=4)
@@ -505,7 +535,7 @@ class TestQuorumReplication:
         assert sim.read_escalations == escalations
 
     def test_replicated_ring_cluster_defaults_to_ring_rebalance(self):
-        # The driver and run_workload call rebalance() with no policy;
+        # The driver calls rebalance() with no policy;
         # on an RF>1 ring cluster that must resolve to the placement-
         # preserving ring policy, never load-chasing (which strands
         # replicas off their preference lists).
@@ -569,6 +599,28 @@ class TestChaosDriver:
             value_size=16,
             max_scan_length=25,
         )
+
+    @pytest.mark.parametrize("workload", list("abcdef"))
+    def test_every_target_gives_the_single_store_answers(self, workload):
+        # A fleet answers as one store would: the same op stream gives
+        # the same outcome fingerprint on a single store, a 4-node RF=1
+        # cluster, and a 4-node RF=3 cluster that rebalances by ring
+        # every 50 ops while node 1 is down from op 700 to op 1500.
+        expected = driver_fingerprint(
+            store_target_factory(e11_options), workload
+        )
+        assert driver_fingerprint(
+            cluster_target_factory(4, e11_options), workload
+        ) == expected
+        assert driver_fingerprint(
+            cluster_target_factory(4, e11_options, replication_factor=3),
+            workload,
+            rebalance_every=50,
+            chaos=(
+                ChaosEvent(at_op=700, action="kill", node=1),
+                ChaosEvent(at_op=1500, action="recover", node=1),
+            ),
+        ) == expected
 
     @pytest.mark.parametrize("workload", list("abcdef"))
     def test_every_workload_finishes_through_node_death(self, workload):

@@ -394,6 +394,28 @@ class TestClusterCrashChaos:
                 f"lost across crash-restart"
             )
 
+    def test_flush_all_skips_a_crashed_node_and_flushes_an_outage_node(
+        self,
+    ):
+        from repro.distributed.cluster import ClusterSimulator
+
+        sim = ClusterSimulator(
+            4, _cluster_small_options, seed=5, replication_factor=3,
+            durable=True,
+        )
+        for index in range(5):  # fewer than memtable_entries: no flush
+            sim.put(b"k%04d" % index, b"v")
+        crashed, outage = sim.nodes[0], sim.nodes[1]
+        assert len(crashed.db.memtable) and len(outage.db.memtable)
+        sim.kill(crashed, mode="crash")
+        sim.kill(outage)
+        sim.flush_all()
+        assert len(outage.db.memtable) == 0
+        assert sim.report().dead_nodes == 2
+        sim.recover(crashed)  # WAL replay rebuilds what the crash lost
+        sim.recover(outage)
+        assert all(sim.get(b"k%04d" % index) == b"v" for index in range(5))
+
     def test_crash_chaos_fingerprint_is_deterministic(self):
         """Torn tails, replay, and recovery are all seed-pure: two runs
         produce bit-identical outcome fingerprints."""

@@ -65,14 +65,20 @@ class MiniRocksMachine(RuleBasedStateMachine):
     @rule(
         start_index=st.integers(0, len(KEYS) - 1),
         span=st.integers(1, 10),
+        open_end=st.booleans(),
+        limit=st.one_of(st.none(), st.integers(-1, 12)),
     )
-    def scan(self, start_index, span):
+    def scan(self, start_index, span, open_end, limit):
         start = KEYS[start_index]
-        end = KEYS[min(start_index + span, len(KEYS) - 1)]
+        end = None if open_end else KEYS[min(start_index + span, len(KEYS) - 1)]
         expected = sorted(
-            (k, v) for k, v in self.model.items() if start <= k < end
+            (k, v)
+            for k, v in self.model.items()
+            if start <= k and (end is None or k < end)
         )
-        assert self.db.scan(start, end) == expected
+        if limit is not None:
+            expected = expected[: max(limit, 0)]
+        assert self.db.scan(start, end, limit) == expected
 
     @rule(value=st.binary(min_size=1, max_size=6))
     def ingest(self, value):

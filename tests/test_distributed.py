@@ -18,6 +18,7 @@ from repro.distributed.node import Node
 from repro.errors import ConfigurationError
 from repro.kvstore.blockcache import BlockCache
 from repro.kvstore.options import Options
+from repro.workloads.driver import execute_op
 
 
 def small_options(**overrides):
@@ -139,7 +140,10 @@ class TestClusterSimulator:
         ] + [("get", f"k{i:03d}".encode(), b"") for i in range(60)] + [
             ("delete", b"k000", b"")
         ]
-        sim.run_workload(operations, rebalance_every=30)
+        for index, (op, key, value) in enumerate(operations, start=1):
+            execute_op(sim, op, key, value)
+            if index % 30 == 0:
+                sim.rebalance(max_moves=2)
         report = sim.report()
         assert report.operations == 121
         assert report.audit.total_ids_assigned > 0
@@ -148,7 +152,7 @@ class TestClusterSimulator:
     def test_unknown_op_rejected(self):
         sim = ClusterSimulator(2, small_options, seed=1)
         with pytest.raises(ConfigurationError):
-            sim.run_workload([("frobnicate", b"k", b"")])
+            execute_op(sim, "frobnicate", b"k", b"")
 
     def test_rebalance_records_events(self):
         sim = ClusterSimulator(2, small_options, seed=1)

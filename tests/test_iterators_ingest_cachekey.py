@@ -1,6 +1,7 @@
 """Tests for LSM iterators, external ingestion, and cache-key derivation."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.idspace.cachekey import (
     split_cache_key,
 )
 from repro.kvstore.db import MiniRocks
-from repro.kvstore.iterators import iterate_db, range_count
+from repro.kvstore.iterators import iterate_db, merge_rows, range_count
 from repro.kvstore.options import Options
 
 
@@ -44,31 +45,52 @@ class TestLSMIterator:
         streamed = list(iterate_db(db))
         assert streamed == sorted(reference.items())
 
-    def test_seek_forward(self):
+    def test_iterate_from_start(self):
+        # Every source is positioned at `start`: the stream starts on
+        # `start` when it is a live key, at the next live key when it
+        # falls between keys or on a deleted one, and is empty past
+        # the end.
         db = make_db()
-        for i in range(20):
+        for i in range(0, 40, 2):
             db.put(f"k{i:02d}".encode(), b"v")
-        iterator = iterate_db(db)
-        iterator.seek(b"k10")
-        key, _value = next(iterator)
-        assert key == b"k10"
+        db.delete(b"k10")
 
-    def test_seek_past_end(self):
-        db = make_db()
-        db.put(b"a", b"1")
-        iterator = iterate_db(db)
-        iterator.seek(b"zzz")
-        with pytest.raises(StopIteration):
-            next(iterator)
+        def first_keys(start):
+            return [key for key, _ in islice(iterate_db(db, start), 3)]
 
-    def test_peek_key_includes_tombstones(self):
-        db = make_db()
-        db.put(b"a", b"1")
-        db.delete(b"a")
-        iterator = iterate_db(db)
-        assert iterator.peek_key() == b"a"  # tombstone visible to peek
-        with pytest.raises(StopIteration):
-            next(iterator)  # ...but suppressed by iteration
+        assert first_keys(b"k08") == [b"k08", b"k12", b"k14"]
+        assert first_keys(b"k09") == [b"k12", b"k14", b"k16"]
+        assert first_keys(b"k10") == [b"k12", b"k14", b"k16"]
+        assert first_keys(b"zzz") == []
+        assert first_keys(b"") == [b"k00", b"k02", b"k04"]
+        # Starting on a file's first or last key keeps that file.
+        full = list(iterate_db(db))
+        assert db.manifest.level(0) and db.manifest.level(1)
+        for _level, sst in db.manifest.live_files():
+            for start in (sst.min_key, sst.max_key):
+                assert list(iterate_db(db, start)) == [
+                    row for row in full if row[0] >= start
+                ]
+
+    def test_equal_keys_merge_in_source_order(self):
+        # The merge every scan relies on is stable: equal keys come out
+        # in the order their sources are listed, so with sources listed
+        # newest first a key's first row is its newest version.
+        sources = [
+            [(b"a", b"1"), (b"c", b"1")],
+            [(b"a", b"2"), (b"b", b"2"), (b"c", b"2")],
+            [],
+            [(b"a", b"4"), (b"b", b"4")],
+        ]
+        assert list(merge_rows(iter(source) for source in sources)) == [
+            (b"a", b"1"), (b"a", b"2"), (b"a", b"4"),
+            (b"b", b"2"), (b"b", b"4"),
+            (b"c", b"1"), (b"c", b"2"),
+        ]
+        many = [[(b"k", b"%d" % age)] for age in range(40)]
+        assert [value for _, value in merge_rows(map(iter, many))] == [
+            b"%d" % age for age in range(40)
+        ]
 
     def test_newest_version_wins_across_sources(self):
         db = make_db(memtable_entries=2)

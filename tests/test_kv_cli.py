@@ -44,6 +44,11 @@ GOLDEN_FINGERPRINTS = [
         "--records 500 --ops 1000 --seed 4 --workers 2",
         0x9C229A6B,
     ),
+    (
+        "--workload e --target cluster --nodes 4 --replication 3 --records 500 "
+        "--ops 1000 --seed 3 --kill-at 700:1 --recover-at 1200:1",
+        0xE49B8AE3,
+    ),
 ]
 
 #: Misconfigurations the library rejects once the shard's target exists
@@ -81,6 +86,23 @@ def test_misconfiguration_fails_before_the_load_phase(monkeypatch, capsys, argv)
     monkeypatch.setattr("repro.workloads.driver.load_phase", no_load)
     assert main(["kv", *argv.split()]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.chaos
+def test_run_ending_with_a_crashed_node_reports_it_dead(capsys):
+    # The report flushes every node first; a crashed process has no
+    # memtable, so nothing is flushed for it and the run completes.
+    payload = kv_json(capsys, [
+        "--workload", "a", "--target", "cluster", "--nodes", "4",
+        "--replication", "3", "--write-mode", "batch", "--kill-at", "600:1",
+        "--kill-mode", "crash", "--records", "500", "--ops", "500",
+        "--shards", "1",
+    ])
+    (report,) = payload["cluster"]
+    assert report["dead_nodes"] == 1
+    assert [event[:2] for event in report["fault_events"]] == [
+        ["crash", "node1"],
+    ]
 
 
 @pytest.mark.chaos

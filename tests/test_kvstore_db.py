@@ -16,7 +16,7 @@ from repro.kvstore.db import MiniRocks
 from repro.kvstore.manifest import Manifest
 from repro.kvstore.memtable import TOMBSTONE
 from repro.kvstore.options import Options
-from repro.kvstore.sstable import SSTable
+from repro.kvstore.sstable import Records, SSTable
 
 
 def sst_from(file_id, pairs, block_entries=4):
@@ -110,8 +110,8 @@ class TestManifest:
 
 
 def runs_of(*tables):
-    """The newest-first entry runs ``merge_tables`` takes."""
-    return [table.iter_entries() for table in tables]
+    """The newest-first record runs ``merge_tables`` takes."""
+    return [table.records() for table in tables]
 
 
 class TestMergeTables:
@@ -119,22 +119,26 @@ class TestMergeTables:
         new = sst_from(1, [(b"a", b"new"), (b"b", b"2")])
         old = sst_from(2, [(b"a", b"old"), (b"c", b"3")])
         merged = merge_tables(runs_of(new, old), drop_tombstones=False)
-        assert merged == [(b"a", b"new"), (b"b", b"2"), (b"c", b"3")]
+        assert merged == Records.encode(
+            [(b"a", b"new"), (b"b", b"2"), (b"c", b"3")]
+        )
 
     def test_tombstones_dropped_at_bottom(self):
         new = sst_from(1, [(b"a", TOMBSTONE)])
         old = sst_from(2, [(b"a", b"x"), (b"b", b"y")])
-        assert merge_tables(runs_of(new, old), drop_tombstones=True) == [
-            (b"b", b"y")
-        ]
+        assert merge_tables(
+            runs_of(new, old), drop_tombstones=True
+        ) == Records.encode([(b"b", b"y")])
         kept = merge_tables(runs_of(new, old), drop_tombstones=False)
-        assert (b"a", TOMBSTONE) in kept
+        assert kept == Records.encode([(b"a", TOMBSTONE), (b"b", b"y")])
 
     def test_three_way(self):
         a = sst_from(1, [(b"k", b"v3")])
         b = sst_from(2, [(b"k", b"v2")])
         c = sst_from(3, [(b"k", b"v1")])
-        assert merge_tables(runs_of(a, b, c), False) == [(b"k", b"v3")]
+        assert merge_tables(runs_of(a, b, c), False) == Records.encode(
+            [(b"k", b"v3")]
+        )
 
 
 class TestCompactionPicking:

@@ -22,7 +22,12 @@ from repro.core.cluster import ClusterGenerator
 from repro.core.cluster_star import ClusterStarGenerator
 from repro.core.intervals import CircularIntervalSet
 from repro.core.random_gen import RandomGenerator
-from repro.errors import KVStoreError
+from repro.distributed.cluster import (
+    _FLAG_TOMBSTONE,
+    ClusterSimulator,
+    decode_envelope,
+)
+from repro.errors import ClusterUnavailableError, KVStoreError
 from repro.idspace.encoding import (
     id_from_base32,
     id_from_bytes,
@@ -35,6 +40,7 @@ from repro.kvstore.bloom import BloomFilter
 from repro.kvstore.compaction import merge_tables
 from repro.kvstore.manifest import Manifest
 from repro.kvstore.memtable import TOMBSTONE, MemTable
+from repro.kvstore.options import Options
 from repro.kvstore.sstable import Block, Records, SSTable, _encode_block
 from repro.simulation.montecarlo import wilson_interval
 from repro.simulation.seeds import derive_seed
@@ -451,15 +457,9 @@ def test_merge_tables_matches_dict_model(runs):
         value = next(v for run in runs for k, v in run if k == key)
         expected.append((key, value))
     live = [(key, value) for key, value in expected if value != TOMBSTONE]
-    assert merge_tables(runs, drop_tombstones=False) == expected
-    assert merge_tables(runs, drop_tombstones=True) == live
-    # The same runs in their encoded form (compaction's) merge alike.
     record_runs = [Records.encode(run) for run in runs]
     for drop, want in ((False, expected), (True, live)):
         merged = merge_tables(record_runs, drop_tombstones=drop)
-        if not runs:  # no run to tell the form by: the empty pair list
-            assert merged == []
-            continue
         assert merged.keys == [key for key, _ in want]
         assert merged.records == [_record(key, value) for key, value in want]
 
@@ -506,6 +506,99 @@ def test_record_form_builds_the_pair_form_sst(
     assert from_records.entry_count == from_pairs.entry_count == len(entries)
     live = sum(1 for _, value in entries if value != TOMBSTONE)
     assert from_records.live_entries == from_pairs.live_entries == live
+
+
+# -- cluster scans -----------------------------------------------------------------
+
+SCAN_KEYS = [b"k%02d" % index for index in range(16)]
+
+#: One step of a small fleet's history, ``(action, index)``: ``index``
+#: picks the key to write, or the node (mod 4) to kill or recover.
+#: Writes are the most frequent action.
+CLUSTER_STEP = st.tuples(
+    st.sampled_from(
+        ["put"] * 4 + ["delete", "flush", "load", "ring", "kill", "recover"]
+    ),
+    st.integers(0, len(SCAN_KEYS) - 1),
+)
+
+#: A scan's ``(start, end, limit)``: starts on, between and past the
+#: keys, an open or bounded end, and limits around the row count.
+SCAN_QUERY = st.tuples(
+    st.sampled_from(SCAN_KEYS + [b"", b"k07x", b"k1", b"zz"]),
+    st.one_of(st.none(), st.sampled_from(SCAN_KEYS + [b"k11x", b"zz"])),
+    st.one_of(st.none(), st.integers(-1, 20)),
+)
+
+
+def _run_cluster_step(sim, step, value):
+    action, index = step
+    key, node = SCAN_KEYS[index], sim.nodes[index % 4]
+    if action in ("put", "delete"):
+        try:
+            if action == "put":
+                sim.put(key, value)
+            else:
+                sim.delete(key)
+        except ClusterUnavailableError:
+            pass  # quorum lost: the live replicas keep what they took
+    elif action == "flush":
+        sim.flush_all()
+    elif action in ("load", "ring"):
+        sim.rebalance(max_moves=2, policy=action)
+    elif action == "kill":
+        if node.alive and len(sim.live_nodes()) > 1:
+            sim.kill(node)
+    elif not node.alive:
+        sim.recover(node)
+
+
+@FAST
+@given(
+    replication_factor=st.integers(1, 3),
+    steps=st.lists(CLUSTER_STEP, min_size=100, max_size=300),
+    queries=st.lists(SCAN_QUERY, min_size=1, max_size=4),
+)
+def test_cluster_scan_matches_point_reads(replication_factor, steps, queries):
+    """``ClusterSimulator.scan`` equals a model built from point reads,
+    which share no code with the merge: read each key on every live
+    node, keep the highest envelope version, drop tombstones, then
+    apply ``end`` and ``limit``."""
+    sim = ClusterSimulator(
+        4,
+        lambda: Options(
+            memtable_entries=4,
+            block_entries=2,
+            level0_file_limit=2,
+            id_universe=1 << 32,
+            bloom_bits_per_key=0,
+        ),
+        cache_blocks=64,
+        seed=5,
+        replication_factor=replication_factor,
+    )
+    for number, step in enumerate(steps):
+        # A value per write, so a stale copy never reads as current.
+        _run_cluster_step(sim, step, b"v%d" % number)
+    rows = []
+    for key in SCAN_KEYS:
+        copies = [
+            decode_envelope(stored)
+            for stored in (node.get(key) for node in sim.live_nodes())
+            if stored is not None
+        ]
+        if copies:
+            _version, flag, payload = max(copies, key=lambda copy: copy[0])
+            if flag != _FLAG_TOMBSTONE:
+                rows.append((key, payload))
+    for start, end, limit in queries:
+        expected = [
+            row for row in rows
+            if row[0] >= start and (end is None or row[0] < end)
+        ]
+        if limit is not None:
+            expected = expected[: max(limit, 0)]
+        assert sim.scan(start, end, limit) == expected
 
 
 # -- statistics ------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.workloads.driver import (
     LatencyHistogram,
     WorkloadDriver,
     cluster_target_factory,
+    execute_op,
     flush_and_report,
     store_target_factory,
     validate_chaos_schedule,
@@ -394,9 +395,9 @@ class TestScanSupport:
             assert db.scan(encode_key(10), encode_key(40), limit=limit) == []
 
     def test_seeked_open_ended_scan_matches_bounded_scan(self):
-        # The open-ended path seeks its sources to `start`; it must
-        # agree with the materializing bounded path from any offset,
-        # across flushed/compacted/updated/deleted state.
+        # A limit scan and an end-bounded scan cut the same stream
+        # from `start`; they must agree from any offset, across
+        # flushed/compacted/updated/deleted state.
         db = MiniRocks(
             Options(memtable_entries=16, block_entries=4, id_universe=1 << 32),
             rng=random.Random(15),
@@ -511,10 +512,10 @@ class TestScanSupport:
         assert len(rows) == 120 - len(deleted)
 
     def test_limited_cluster_scan_is_a_prefix_of_the_full_scan(self):
-        # The frontier/pagination invariant: whatever per-node windows
-        # get cut, a limited scatter-gather scan must return exactly
-        # the first `limit` rows of the unlimited (fully resolved)
-        # scan — no resurrected deletes, no stale values, no gaps.
+        # Wherever the limit cuts the merged node streams, a limited
+        # scatter-gather scan must return exactly the first `limit`
+        # rows of the unlimited (fully resolved) scan — no resurrected
+        # deletes, no stale values, no gaps.
         from repro.distributed.cluster import ClusterSimulator
 
         def churn_options():
@@ -541,13 +542,12 @@ class TestScanSupport:
         for limit in (1, 2, 5, 17, 40, len(full), len(full) + 10):
             assert sim.scan(encode_key(0), None, limit=limit) == full[:limit]
 
-    def test_limited_scan_retries_past_stale_filled_windows(self):
+    def test_limited_scan_skips_stale_copies_of_deleted_keys(self):
         # Adversarial layout: every exportable file is migrated off
-        # node0, then all node0-owned keys are deleted — node1's
-        # limited window leads with stale live copies that node0's
-        # tombstones kill in the merge. The coordinator must widen its
-        # per-node windows (frontier retry) rather than return deleted
-        # keys or come up short.
+        # node0, then all node0-owned keys are deleted — node1's rows
+        # lead with stale live copies that node0's tombstones kill in
+        # the merge. A limited scan must neither return deleted keys
+        # nor come up short.
         from repro.distributed.cluster import ClusterSimulator
 
         def churn_options():
@@ -576,29 +576,20 @@ class TestScanSupport:
         for key in deleted:
             sim.delete(key)
 
-        rounds = []
-        merge = sim._merge_node_scans
-        sim._merge_node_scans = lambda start, end, per_node: (
-            rounds.append(per_node) or merge(start, end, per_node)
-        )
         full = sim.scan(encode_key(0), None)
         assert all(key not in dict(full) for key in deleted)
-        rounds.clear()
         limited = sim.scan(encode_key(0), None, limit=3)
         assert limited == full[:3]
-        assert len(rounds) > 1, "frontier retry never triggered"
-        assert rounds[1] == rounds[0] * 2
 
-    def test_run_workload_executes_rmw_and_scan(self):
+    def test_execute_op_runs_rmw_and_scan_on_a_cluster(self):
         from repro.distributed.cluster import ClusterSimulator
 
         sim = ClusterSimulator(2, small_options, cache_blocks=256, seed=10)
         for index in range(20):
             sim.put(encode_key(index), b"seed")
-        sim.run_workload(
-            [
-                ("rmw", encode_key(3), b"updated"),
-                ("scan", encode_key(0), b"4"),
-            ]
+        assert execute_op(sim, "rmw", encode_key(3), b"updated") == (
+            b"\x01seed"
         )
+        scanned = execute_op(sim, "scan", encode_key(0), b"4")
+        assert scanned[:4] == (4).to_bytes(4, "little")
         assert sim.get(encode_key(3)) == b"updated"

@@ -24,7 +24,6 @@ from repro.workloads.distributions import (
 from repro.workloads.ycsb import (
     WorkloadSpec,
     encode_key,
-    full_workload,
     load_phase,
     make_value,
     run_phase,
@@ -284,24 +283,21 @@ class TestYCSB:
         with pytest.raises(ConfigurationError):
             list(run_phase(spec, rng))
 
-    def test_full_workload_is_load_then_run(self, rng):
-        spec = WorkloadSpec(
-            workload="c", record_count=10, operation_count=20
-        )
-        ops = list(full_workload(spec, rng))
-        assert [op for op, _, _ in ops[:10]] == ["put"] * 10
-        assert len(ops) == 30
-
     @pytest.mark.parametrize("workload", list("abcdef"))
     def test_full_workload_stream_is_seed_deterministic(self, workload):
+        # The stream a driver shard executes: the load phase, then the
+        # run phase drawn from the same RNG.
         spec = WorkloadSpec(
             workload=workload, record_count=50, operation_count=200
         )
-        first = list(full_workload(spec, random.Random(123)))
-        second = list(full_workload(spec, random.Random(123)))
-        other = list(full_workload(spec, random.Random(124)))
-        assert first == second
-        assert first != other
+
+        def stream(seed):
+            rng = random.Random(seed)
+            return list(load_phase(spec, rng)) + list(run_phase(spec, rng))
+
+        first = stream(123)
+        assert first == stream(123)
+        assert first != stream(124)
 
 
 class TestDemandGenerators:
