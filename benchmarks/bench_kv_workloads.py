@@ -264,54 +264,6 @@ def test_kv_point_get(benchmark, outcome):
     print(f"\nPOINT_GET[{outcome}]: {ops:,.0f} ops/s")
 
 
-def test_kv_multi_get_batch(benchmark):
-    """Batched point lookups: one SST walk + vectorized bloom probes.
-
-    Throughput is keys resolved per second over 64-key batches; the
-    bench asserts batch answers match looped :meth:`get` before
-    timing, so the row can never go fast by going wrong.
-    """
-    import random
-    from time import perf_counter
-
-    benchmark.extra_info["target"] = "readpath"
-    benchmark.extra_info["workload"] = "multi_get"
-    db, keys = _readpath_store(_scaled(2000, 200))
-    lookups = _scaled(8000, 500)
-    rng = random.Random(BENCH_SEED + 2)
-    universe = keys + [
-        f"absent{rng.randrange(1 << 30):010d}".encode()
-        for _ in range(len(keys) // 20 + 1)
-    ]
-    batches = []
-    remaining = lookups
-    while remaining > 0:
-        size = min(64, remaining)
-        batches.append(
-            [universe[rng.randrange(len(universe))] for _ in range(size)]
-        )
-        remaining -= size
-    sample = batches[0]
-    assert db.multi_get(sample) == [db.get(key) for key in sample]
-
-    def run():
-        multi_get = db.multi_get
-        latencies = []
-        record = latencies.append
-        start = perf_counter()
-        for batch in batches:
-            t0 = perf_counter()
-            multi_get(batch)
-            record(perf_counter() - t0)
-        return lookups / (perf_counter() - start), latencies
-
-    ops, latencies = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["ops_per_second"] = ops
-    # Tail latency is per *batch* — one multi_get call resolves 64 keys.
-    benchmark.extra_info["p99_us"] = _p99_us(latencies)
-    print(f"\nMULTI_GET: {ops:,.0f} keys/s (batch=64)")
-
-
 def test_kv_reopen_format(benchmark):
     """Reopen cost of a durable store, in entries loaded per second.
 

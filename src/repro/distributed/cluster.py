@@ -310,7 +310,7 @@ class ClusterSimulator:
         acked = 0
         for node in replicas:
             if node.alive:
-                node.put(key, envelope)
+                node.db.put(key, envelope)
                 acked += 1
             else:
                 self._hints.setdefault(node.name, {})[key] = envelope
@@ -354,7 +354,7 @@ class ClusterSimulator:
         responses = []
         best = None  # (version, flag, payload, envelope)
         for node in contacted:
-            stored = node.get(key)
+            stored = node.db.get(key)
             decoded = None
             if stored is not None:
                 version, flag, payload = self._decode(stored)
@@ -378,7 +378,7 @@ class ClusterSimulator:
                     if other.alive and other not in replicas
                 ),
             ):
-                stored = node.get(key)
+                stored = node.db.get(key)
                 if stored is not None:
                     version, flag, payload = self._decode(stored)
                     if best is None or version > best[0]:
@@ -390,7 +390,7 @@ class ClusterSimulator:
         # to the winning version before answering.
         for node, decoded in responses:
             if decoded is None or decoded[0] < best[0]:
-                node.put(key, best[3])
+                node.db.put(key, best[3])
                 self.read_repairs += 1
         return None if best[1] == _FLAG_TOMBSTONE else best[2]
 
@@ -566,10 +566,10 @@ class ClusterSimulator:
         already holds ``key`` at that version or newer — the LWW guard
         every hint replay and repair copy goes through. True if it
         wrote."""
-        current = node.get(key)
+        current = node.db.get(key)
         if current is not None and self._decode(current)[0] >= version:
             return False
-        node.put(key, envelope)
+        node.db.put(key, envelope)
         return True
 
     def hints_outstanding(self) -> int:

@@ -6,12 +6,14 @@ its peers except the block cache — exactly the deployment that makes
 cross-instance ID uniqueness a correctness requirement once SSTs
 migrate.
 
-A node stores the bytes it is given and knows nothing of envelopes:
+A node has no data path of its own and knows nothing of envelopes:
 in a :class:`~repro.distributed.cluster.ClusterSimulator` the cluster
-writes every row a node holds, and the cluster's read paths decode
-and resolve them (point reads through :meth:`Node.get`, scans by
-merging each live node's :func:`~repro.kvstore.iterators.iterate_db`
-stream). Migration moves whole SSTs, IDs included, between nodes
+writes every row a node holds straight into the node's store
+(:attr:`Node.db`), and the cluster's read paths decode and resolve
+them (point reads through ``node.db.get``, scans by merging each live
+node's :func:`~repro.kvstore.iterators.iterate_db` stream), so the
+cluster's versioned tombstone is the only delete in a fleet.
+Migration moves whole SSTs, IDs included, between nodes
 (:meth:`Node.export_file` / :meth:`Node.import_file`).
 """
 
@@ -100,20 +102,6 @@ class Node:
         )
         return self.db
 
-    # -- data path ----------------------------------------------------------
-
-    def put(self, key: bytes, value: bytes) -> None:
-        """Write straight into this node's local store."""
-        self.db.put(key, value)
-
-    def get(self, key: bytes):
-        """Point lookup in this node's local store (``None`` if absent)."""
-        return self.db.get(key)
-
-    def delete(self, key: bytes) -> None:
-        """Delete from this node's local store."""
-        self.db.delete(key)
-
     # -- migration ----------------------------------------------------------
 
     def exportable_files(self) -> List[Tuple[int, SSTable]]:
@@ -135,7 +123,7 @@ class Node:
         the file atomically, then its bytes are removed (the importer
         holds its own copy).
         """
-        self.db.manifest.detach_file(level, sst)
+        self.db.manifest.remove_file(level, sst)
         if self.storage is not None:
             self.db._commit_manifest()
             name = sst_filename(sst.fingerprint)
@@ -158,10 +146,11 @@ class Node:
         """
         if self.storage is not None:
             self.db._persist_sst(sst, label="migration")
+        # The file's ID was assigned by its origin node.
         try:
-            self.db.manifest.attach_file(level, sst)
+            self.db.manifest.add_file(level, sst, record_id=False)
         except KVStoreError:
-            self.db.manifest.attach_file(0, sst)
+            self.db.manifest.add_file(0, sst, record_id=False)
         if self.storage is not None:
             self.db._commit_manifest()
         self.received_files.append(sst.file_id)

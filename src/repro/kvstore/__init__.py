@@ -13,7 +13,7 @@ from repro.kvstore.db import DBStats, MiniRocks
 from repro.kvstore.iterators import iterate_db, range_count
 from repro.kvstore.manifest import MANIFEST_NAME, Manifest
 from repro.kvstore.memtable import TOMBSTONE, MemTable
-from repro.kvstore.options import Options, generator_factory_from_spec
+from repro.kvstore.options import Options
 from repro.kvstore.sstable import Block, SSTable, sst_filename
 from repro.kvstore.storage import CrashPoint, SimulatedStorage
 from repro.kvstore.wal import (
@@ -34,7 +34,6 @@ __all__ = [
     "iterate_db",
     "range_count",
     "Options",
-    "generator_factory_from_spec",
     "BlockCache",
     "CacheStats",
     "BloomFilter",

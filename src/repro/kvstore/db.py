@@ -26,15 +26,16 @@ from dataclasses import dataclass
 from itertools import islice, takewhile
 from typing import List, Optional, Tuple
 
+from repro.core.registry import make_generator
 from repro.errors import CorruptionDetectedError, KVStoreError
 from repro.kvstore.blockcache import BlockCache
-from repro.kvstore.bloom import hash_pair, hash_pairs
+from repro.kvstore.bloom import hash_pair
 from repro.kvstore.compaction import pick_compaction, run_compaction
 from repro.kvstore.iterators import iterate_db
 from repro.kvstore.manifest import MANIFEST_NAME, Manifest
 from repro.kvstore.memtable import TOMBSTONE, MemTable
 from repro.kvstore.options import Options
-from repro.kvstore.sstable import SST_PREFIX, SSTable, sst_filename
+from repro.kvstore.sstable import SST_PREFIX, Records, SSTable, sst_filename
 from repro.kvstore.storage import SimulatedStorage
 from repro.kvstore.wal import (
     OP_PUT,
@@ -120,8 +121,9 @@ class MiniRocks:
         self.cache = cache if cache is not None else BlockCache(4096)
         self.name = name
         self._rng = rng if rng is not None else random.Random()
-        assert self.options.id_generator_factory is not None
-        self._id_generator = self.options.id_generator_factory(self._rng)
+        self._id_generator = make_generator(
+            self.options.id_algorithm, self.options.id_universe, self._rng
+        )
         self.memtable = MemTable()
         self.manifest = Manifest(self.options.num_levels)
         self.stats = DBStats()
@@ -328,62 +330,6 @@ class MiniRocks:
                 return None if value == TOMBSTONE else value
         return None
 
-    def multi_get(self, keys: List[bytes]) -> List[Optional[bytes]]:
-        """Point lookups for many keys, batched by candidate SST.
-
-        Instead of looping :meth:`get`, the batch walks the SSTs once
-        in read-precedence order (L0 newest-first, then L1..Lmax):
-        each file's bloom filter is probed **vectorized** over every
-        still-unresolved key in its range (one numpy array op under
-        the numpy backend), each key is blake2b-hashed exactly once
-        for the whole batch, and only bloom survivors touch blocks.
-        Per-key results and bloom/read accounting are identical to the
-        looped equivalent (only the cache's LRU touch order differs).
-        """
-        self.stats.gets += len(keys)
-        results: List[Optional[bytes]] = [None] * len(keys)
-        pending: dict = {}
-        for position, key in enumerate(keys):
-            buffered = self.memtable.get(key)
-            if buffered is not None:
-                results[position] = (
-                    None if buffered == TOMBSTONE else buffered
-                )
-            else:
-                pending[position] = key
-        if not pending:
-            return results
-        pairs = dict(zip(pending, hash_pairs(pending.values())))
-        for sst in self.manifest.files_newest_first():
-            if not pending:
-                break
-            in_range = [
-                position
-                for position, key in pending.items()
-                if sst.key_in_range(key)
-            ]
-            if not in_range:
-                continue
-            if sst.bloom is not None:
-                verdicts = sst.bloom.may_contain_hashes(
-                    [pairs[position] for position in in_range]
-                )
-                survivors = []
-                for position, maybe in zip(in_range, verdicts):
-                    if maybe:
-                        survivors.append(position)
-                    else:
-                        self.stats.bloom_negative += 1
-                in_range = survivors
-            for position in in_range:
-                found, value = self._read_sst_block(sst, pending[position])
-                if found:
-                    results[position] = (
-                        None if value == TOMBSTONE else value
-                    )
-                    del pending[position]
-        return results
-
     def scan(
         self, start: bytes, end: Optional[bytes] = None,
         limit: Optional[int] = None,
@@ -575,10 +521,14 @@ class MiniRocks:
         not per-node, requirement). Entries must be strictly ascending
         by key.
         """
-        entries = list(entries)
-        if not entries:
+        records = Records.encode(entries)
+        if not records.keys:
             raise KVStoreError("cannot ingest an empty batch")
-        sst = self._build_sst(entries)
+        # Encode and check the batch before the build draws its file
+        # ID, so a rejected batch burns none: every ID drawn is an ID
+        # recorded.
+        Records.check_ascending(records.keys)
+        sst = self._build_sst(records)
         if self.storage is not None:
             self._persist_sst(sst, label="flush")
         self.manifest.add_file(0, sst)

@@ -68,18 +68,6 @@ class Manifest:
         """Sum of entry counts over all live files."""
         return sum(sst.entry_count for _, sst in self.live_files())
 
-    def files_newest_first(self) -> Iterator[SSTable]:
-        """All live files in point-read precedence order.
-
-        L0 newest-to-oldest, then L1..Lmax. For any single key, the
-        files of this stream that contain it in their range are exactly
-        :meth:`candidates_for_key` in the same order (non-overlapping
-        L1+ levels hold at most one candidate each) — the batched
-        ``multi_get`` walks this once for a whole key batch.
-        """
-        for files in self._levels:
-            yield from files
-
     def candidates_for_key(self, key: bytes) -> Iterator[Tuple[int, SSTable]]:
         """Files that may contain ``key``, newest data first.
 
@@ -137,14 +125,6 @@ class Manifest:
         del files[position]
         if level:
             del self._max_keys[level][position]
-
-    def detach_file(self, level: int, sst: SSTable) -> None:
-        """Remove for migration (the file lives on at another node)."""
-        self.remove_file(level, sst)
-
-    def attach_file(self, level: int, sst: SSTable) -> None:
-        """Install a migrated file; its ID was assigned elsewhere."""
-        self.add_file(level, sst, record_id=False)
 
     # -- durable state -----------------------------------------------------
 

@@ -2,29 +2,10 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Optional
 
-from repro.core.base import IDGenerator
-from repro.core.registry import make_generator
 from repro.errors import ConfigurationError
 from repro.kvstore.wal import WriteMode
-
-#: Builds the store's uncoordinated file-ID generator.
-IDGeneratorFactory = Callable[[random.Random], IDGenerator]
-
-
-def generator_factory_from_spec(
-    spec: str, m: int
-) -> IDGeneratorFactory:
-    """Adapt an algorithm spec (``"cluster"``, ``"random"``, ...) into a
-    factory suitable for :class:`Options.id_generator_factory`.
-    """
-    def factory(rng: random.Random) -> IDGenerator:
-        return make_generator(spec, m, rng)
-
-    return factory
 
 
 @dataclass
@@ -49,9 +30,8 @@ class Options:
     bloom_bits_per_key: int = 10
     #: Universe size for SST file IDs (the UUIDP ``m``).
     id_universe: int = 1 << 64
-    #: Factory for the uncoordinated per-instance ID generator.
-    id_generator_factory: Optional[IDGeneratorFactory] = None
-    #: Algorithm spec used when no explicit factory is given.
+    #: Algorithm spec of the uncoordinated per-instance file-ID
+    #: generator (``"cluster"``, ``"random"``, ...).
     id_algorithm: str = "cluster"
     #: Raise on detected cache corruption instead of counting silently.
     paranoid_checks: bool = False
@@ -79,7 +59,3 @@ class Options:
             )
         if self.wal_batch_size < 1:
             raise ConfigurationError("wal_batch_size must be >= 1")
-        if self.id_generator_factory is None:
-            self.id_generator_factory = generator_factory_from_spec(
-                self.id_algorithm, self.id_universe
-            )

@@ -112,6 +112,17 @@ class Records(NamedTuple):
             )
         return cls(keys, records)
 
+    @staticmethod
+    def check_ascending(keys: Sequence[bytes]) -> None:
+        """Raise :class:`~repro.errors.KVStoreError` unless ``keys`` are
+        strictly ascending (so also on a duplicate key)."""
+        if any(map(ge, keys, keys[1:])):
+            index = list(map(ge, keys, keys[1:])).index(True)
+            raise KVStoreError(
+                f"entries must be strictly ascending: "
+                f"{keys[index]!r} >= {keys[index + 1]!r}"
+            )
+
 
 def tombstone_keys(
     keys: Iterable[bytes], records: Iterable[bytes]
@@ -390,12 +401,7 @@ class SSTable:
         keys, records = entries
         if not keys:
             raise KVStoreError("cannot build an empty SSTable")
-        if any(map(ge, keys, keys[1:])):
-            index = list(map(ge, keys, keys[1:])).index(True)
-            raise KVStoreError(
-                f"entries must be strictly ascending: "
-                f"{keys[index]!r} >= {keys[index + 1]!r}"
-            )
+        Records.check_ascending(keys)
         live = len(keys) - len(tombstone_keys(keys, records))
         fingerprint = next(_fingerprint_counter)
         blocks: List[Block] = []

@@ -189,7 +189,7 @@ class TestQuorumReplication:
             key = f"k{index:04d}".encode()
             copies = sum(
                 1 for node in sim.preference_nodes(key)
-                if node.get(key) is not None
+                if node.db.get(key) is not None
             )
             assert copies == 3
             assert sim.get(key) == b"v%d" % index
@@ -205,7 +205,7 @@ class TestQuorumReplication:
         # The tombstone is a real versioned row on every replica, so
         # LWW ordering applies to deletes too.
         for node in sim.preference_nodes(b"k1"):
-            stored = node.get(b"k1")
+            stored = node.db.get(b"k1")
             assert stored is not None
             _version, flag, _payload = decode_envelope(stored)
             assert flag == 1
@@ -253,13 +253,13 @@ class TestQuorumReplication:
         sim.put(key, b"v2")  # reaches the two live replicas; hint queued
         # The hint is lost: the primary comes back stale.
         sim.recover(primary, replay_hints=False)
-        assert decode_envelope(primary.get(key))[2] == b"v1"
+        assert decode_envelope(primary.db.get(key))[2] == b"v1"
         # A quorum read contacts the stale primary first, but the
         # fresher replica's higher version wins — and the primary is
         # read-repaired before the answer returns.
         assert sim.get(key) == b"v2"
         assert sim.read_repairs >= 1
-        assert decode_envelope(primary.get(key))[2] == b"v2"
+        assert decode_envelope(primary.db.get(key))[2] == b"v2"
 
     def test_repair_replicas_converges_all_live_copies(self):
         sim = ClusterSimulator(5, small_options, seed=7, replication_factor=3)
@@ -275,7 +275,7 @@ class TestQuorumReplication:
         for index in range(30):
             key = f"k{index:04d}".encode()
             payloads = {
-                decode_envelope(node.get(key))[2]
+                decode_envelope(node.db.get(key))[2]
                 for node in sim.preference_nodes(key)
             }
             assert payloads == {b"v2"}
@@ -299,7 +299,7 @@ class TestQuorumReplication:
         # replicates — LWW-guarded replay, not blind overwrite.
         for key, value in written.items():
             if victim in sim.preference_nodes(key):
-                assert decode_envelope(victim.get(key))[2] == value
+                assert decode_envelope(victim.db.get(key))[2] == value
         report = sim.report()
         assert report.hints_replayed == applied
         assert report.dead_nodes == 0
@@ -361,7 +361,7 @@ class TestQuorumReplication:
         key = b"k0000"
         sim.put(key, b"real")
         assert sim.read_quorum == 2
-        sim.preference_nodes(key)[1].put(key, row)
+        sim.preference_nodes(key)[1].db.put(key, row)
         with pytest.raises(KVStoreError):
             sim.get(key)
         with pytest.raises(KVStoreError):
@@ -460,7 +460,7 @@ class TestQuorumReplication:
         ]
         assert adopted  # 64 vnodes: the newcomer owns some of 80 keys
         for key in adopted:
-            assert newcomer.get(key) is not None
+            assert newcomer.db.get(key) is not None
         # ...and every key still reads back correctly.
         for index in range(80):
             assert sim.get(f"k{index:04d}".encode()) == b"v%d" % index
@@ -555,7 +555,7 @@ class TestQuorumReplication:
         # Single-copy fleets keep the seed's load-chasing default.
         rf1 = ClusterSimulator(2, small_options, seed=22)
         for index in range(80):
-            rf1.nodes[0].put(f"k{index:04d}".encode(), b"v")
+            rf1.nodes[0].db.put(f"k{index:04d}".encode(), b"v")
         rf1.nodes[0].db.flush()
         events = rf1.rebalance(max_moves=2)
         assert events and all(e.source == "node0" for e in events)

@@ -6,10 +6,11 @@ import pytest
 
 from repro.core.base import IDGenerator
 from repro.core.cluster import ClusterGenerator
+from repro.core.random_gen import RandomGenerator
 from repro.errors import ConfigurationError
 from repro.kvstore.db import MiniRocks
 from repro.kvstore.memtable import TOMBSTONE
-from repro.kvstore.options import Options, generator_factory_from_spec
+from repro.kvstore.options import Options
 from repro.kvstore.sstable import SST_PREFIX, sst_filename
 from repro.kvstore.storage import SimulatedStorage
 from repro.kvstore.wal import WriteMode
@@ -17,15 +18,23 @@ from repro.kvstore.wal import WriteMode
 
 class TestOptions:
     def test_defaults_build_a_generator(self):
-        options = Options()
-        generator = options.id_generator_factory(random.Random(1))
-        assert isinstance(generator, IDGenerator)
+        db = MiniRocks(Options(), rng=random.Random(1))
+        assert isinstance(db._id_generator, IDGenerator)
 
-    def test_spec_factory(self):
-        factory = generator_factory_from_spec("cluster", 1 << 20)
-        generator = factory(random.Random(2))
-        assert isinstance(generator, ClusterGenerator)
-        assert generator.m == 1 << 20
+    def test_store_draws_ids_from_the_configured_algorithm(self):
+        db = MiniRocks(
+            Options(id_algorithm="cluster", id_universe=1 << 20),
+            rng=random.Random(2),
+        )
+        assert isinstance(db._id_generator, ClusterGenerator)
+        assert db._id_generator.m == 1 << 20
+        # Not just the default: another spec builds another generator.
+        db = MiniRocks(
+            Options(id_algorithm="random", id_universe=1 << 16),
+            rng=random.Random(2),
+        )
+        assert isinstance(db._id_generator, RandomGenerator)
+        assert db._id_generator.m == 1 << 16
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -36,17 +45,6 @@ class TestOptions:
             Options(num_levels=1)
         with pytest.raises(ConfigurationError):
             Options(id_universe=1)
-
-    def test_explicit_factory_wins(self):
-        sentinel = []
-
-        def factory(rng):
-            sentinel.append(rng)
-            return ClusterGenerator(64, rng)
-
-        options = Options(id_generator_factory=factory)
-        options.id_generator_factory(random.Random(1))
-        assert sentinel
 
 
 def _small_options(**overrides):

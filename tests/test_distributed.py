@@ -39,18 +39,12 @@ def loaded_node(name, seed, keys=60):
         name, small_options(), BlockCache(256), rng=random.Random(seed)
     )
     for i in range(keys):
-        node.put(f"{name}-k{i:03d}".encode(), b"v")
+        node.db.put(f"{name}-k{i:03d}".encode(), b"v")
     node.db.flush()
     return node
 
 
 class TestNode:
-    def test_data_path(self):
-        node = loaded_node("n1", 1)
-        assert node.get(b"n1-k001") == b"v"
-        node.delete(b"n1-k001")
-        assert node.get(b"n1-k001") is None
-
     def test_exportable_excludes_l0(self):
         node = loaded_node("n1", 1)
         for level, _sst in node.exportable_files():
@@ -67,7 +61,7 @@ class TestNode:
         assert sst.file_id in receiver.received_files
         # The data is now served by the receiver.
         key = sst.min_key
-        assert receiver.get(key) is not None
+        assert receiver.db.get(key) is not None
 
     def test_load_metric(self):
         heavy = loaded_node("h", 1, keys=80)
@@ -81,7 +75,7 @@ class TestMigrationPolicies:
         heavy = Node("heavy", small_options(), cache, random.Random(1))
         light = Node("light", small_options(), cache, random.Random(2))
         for i in range(100):
-            heavy.put(f"k{i:03d}".encode(), b"v" * 4)
+            heavy.db.put(f"k{i:03d}".encode(), b"v" * 4)
         heavy.db.flush()
         before = heavy.load() - light.load()
         events = migrate_coldest_to_warmest(
@@ -120,7 +114,7 @@ class TestAudit:
         ]
         for node in nodes:
             for i in range(12):
-                node.put(f"k{i}".encode(), b"v")
+                node.db.put(f"k{i}".encode(), b"v")
             node.db.flush()
         audit = audit_id_uniqueness(nodes)
         assert audit.collided
@@ -159,7 +153,7 @@ class TestClusterSimulator:
         # Load node-asymmetric data (routing by hash is roughly even, so
         # pile everything through one node directly).
         for i in range(80):
-            sim.nodes[0].put(f"k{i:03d}".encode(), b"v")
+            sim.nodes[0].db.put(f"k{i:03d}".encode(), b"v")
         sim.nodes[0].db.flush()
         events = sim.rebalance(max_moves=2)
         assert len(sim.migration_events) == len(events)

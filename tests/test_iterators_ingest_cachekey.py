@@ -134,6 +134,24 @@ class TestIngestExternal:
         with pytest.raises(KVStoreError):
             db.ingest_external([(b"b", b"1"), (b"a", b"2")])
 
+    def test_rejected_batch_draws_no_file_id(self):
+        """Every file ID the generator draws is one the store records,
+        so a batch rejected for its key order or a non-bytes value
+        burns none."""
+        db = make_db()
+        for batch in (
+            [(b"b", b"1"), (b"a", b"2")],  # unsorted
+            [(b"a", b"1"), (b"a", b"2")],  # duplicate key
+        ):
+            with pytest.raises(KVStoreError, match="strictly ascending"):
+                db.ingest_external(batch)
+        with pytest.raises(TypeError):
+            db.ingest_external([(b"a", "not bytes")])
+        assert db._id_generator.count == len(db.assigned_file_ids()) == 0
+        sst = db.ingest_external([(b"a", b"1"), (b"b", b"2")])
+        assert sst.file_id == make_db()._id_generator.next_id()
+        assert db._id_generator.count == len(db.assigned_file_ids()) == 1
+
     def test_ingest_empty_rejected(self):
         with pytest.raises(KVStoreError):
             make_db().ingest_external([])

@@ -103,8 +103,8 @@ class TestManifest:
         manifest_b = Manifest(3)
         sst = sst_from(9, [(b"a", b"1")])
         manifest_a.add_file(1, sst)
-        manifest_a.detach_file(1, sst)
-        manifest_b.attach_file(1, sst)
+        manifest_a.remove_file(1, sst)
+        manifest_b.add_file(1, sst, record_id=False)
         assert manifest_a.assigned_ids == [9]
         assert manifest_b.assigned_ids == []
 
@@ -244,11 +244,6 @@ class TestMiniRocks:
             db.put(f"k{i}".encode(), b"v")
         assert len(db.scan(b"k2", b"k6", limit=2)) == 2
         assert db.scan(b"x", b"a") == []
-
-    def test_multi_get(self):
-        db = self._db()
-        db.put(b"a", b"1")
-        assert db.multi_get([b"a", b"b"]) == [b"1", None]
 
     def test_paranoid_checks_raise_on_collision(self):
         """Two stores with the same tiny universe and a shared cache."""

@@ -584,7 +584,7 @@ def test_cluster_scan_matches_point_reads(replication_factor, steps, queries):
     for key in SCAN_KEYS:
         copies = [
             decode_envelope(stored)
-            for stored in (node.get(key) for node in sim.live_nodes())
+            for stored in (node.db.get(key) for node in sim.live_nodes())
             if stored is not None
         ]
         if copies:

@@ -1,17 +1,16 @@
 """The zero-decode read path: the offset-indexed block format,
-serialized blooms, batched lookups, and the supporting O(1)
-bookkeeping.
+serialized blooms, and the supporting O(1) bookkeeping.
 
 Covers the storage-format contracts:
 
 * block encode→decode identity;
 * corrupted offset trailers (truncation, bit flips) raising
   :class:`~repro.errors.KVStoreError` — never a silent misread;
-* bloom serialization round-trips and numpy/python backend
-  bit-identity over a parameter grid;
-* ``multi_get`` agreeing with looped ``get`` including stats;
+* bloom serialization round-trips, and the batched numpy build
+  setting exactly the bits looped ``add`` sets over a parameter grid;
 * the per-file cache index, O(1) memtable sizing, and build-time
-  live-entry counts surviving the SST container round trip.
+  live-entry counts surviving the SST container round trip;
+* a durable reopen serving every point read.
 """
 
 import random
@@ -22,12 +21,7 @@ from hypothesis import strategies as st
 
 from repro.errors import KVStoreError
 from repro.kvstore.blockcache import BlockCache
-from repro.kvstore.bloom import (
-    BloomFilter,
-    hash_pair,
-    hash_pairs,
-    numpy_available,
-)
+from repro.kvstore.bloom import BloomFilter, numpy_available
 from repro.kvstore.db import MiniRocks
 from repro.kvstore.memtable import TOMBSTONE, MemTable
 from repro.kvstore.options import Options
@@ -236,100 +230,35 @@ def test_bloom_from_bytes_rejects_corruption():
         BloomFilter.from_bytes(payload + b"\x00")  # long bit array
 
 
-# -- bloom backend equivalence ------------------------------------------------
+# -- bloom build equivalence --------------------------------------------------
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 @pytest.mark.parametrize("num_keys", [1, 7, 64, 400])
 @pytest.mark.parametrize("bits_per_key", [4, 10, 16])
 def test_bloom_backends_bit_identical(num_keys, bits_per_key):
+    """The two ways a filter is built, ``add_all`` (one numpy batch at
+    ``_BATCH_CUTOVER`` keys or more) and looped ``add``, set the same
+    bits, answer alike, and keep their bits through serialization."""
     rng = random.Random(num_keys * 1000 + bits_per_key)
     keys = [
         rng.randbytes(rng.randint(1, 24)) for _ in range(num_keys)
     ]
     absent = [rng.randbytes(16) for _ in range(200)]
-    vec = BloomFilter(num_keys, bits_per_key, backend="numpy")
-    ref = BloomFilter(num_keys, bits_per_key, backend="python")
-    vec.add_all(keys)
+    batch = BloomFilter(num_keys, bits_per_key)
+    looped = BloomFilter(num_keys, bits_per_key)
+    batch.add_all(keys)
     for key in keys:
-        ref.add(key)
-    assert bytes(vec._bits) == bytes(ref._bits)
-    probes = keys + absent
-    assert vec.may_contain_batch(probes) == [
-        ref.may_contain(key) for key in probes
+        looped.add(key)
+    assert bytes(batch._bits) == bytes(looped._bits)
+    assert batch.count == looped.count == num_keys
+    assert all(batch.may_contain(key) for key in keys)
+    assert [batch.may_contain(key) for key in keys + absent] == [
+        looped.may_contain(key) for key in keys + absent
     ]
-    # Scalar probe on the vectorized filter matches, too.
-    for key, pair in zip(probes, hash_pairs(probes)):
-        assert vec.may_contain_hash(pair) == ref.may_contain(key)
-        assert pair == hash_pair(key)
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_bloom_serialized_across_backends():
-    keys = [f"key{i}".encode() for i in range(64)]
-    built = BloomFilter(64, 10, backend="numpy")
-    built.add_all(keys)
-    reloaded = BloomFilter.from_bytes(built.to_bytes(), backend="python")
+    reloaded = BloomFilter.from_bytes(batch.to_bytes())
+    assert bytes(reloaded._bits) == bytes(batch._bits)
     assert all(reloaded.may_contain(key) for key in keys)
-    assert bytes(reloaded._bits) == bytes(built._bits)
-
-
-# -- multi_get ----------------------------------------------------------------
-
-
-def _populated_store(seed=7, n=400, deletes=40):
-    rng = random.Random(seed)
-    db = MiniRocks(
-        Options(memtable_entries=32, block_entries=8),
-        rng=random.Random(seed + 1),
-    )
-    expected = {}
-    for i in range(n):
-        key = f"key{rng.randrange(150):04d}".encode()
-        value = f"value{i}".encode()
-        db.put(key, value)
-        expected[key] = value
-    for _ in range(deletes):
-        key = f"key{rng.randrange(150):04d}".encode()
-        db.delete(key)
-        expected.pop(key, None)
-    return db, expected
-
-
-def test_multi_get_matches_looped_get():
-    db, expected = _populated_store()
-    probe = sorted(expected) + [b"missing1", b"key9999", b"zzz"]
-    random.Random(3).shuffle(probe)
-    batched = db.multi_get(probe)
-    assert batched == [db.get(key) for key in probe]
-    assert batched == [expected.get(key) for key in probe]
-
-
-def test_multi_get_stats_match_looped_get():
-    db, expected = _populated_store(seed=11)
-    probe = (sorted(expected) + [b"absent"]) * 2
-    before = (db.stats.gets, db.stats.bloom_negative, db.stats.sst_reads)
-    db.multi_get(probe)
-    batch_delta = (
-        db.stats.gets - before[0],
-        db.stats.bloom_negative - before[1],
-        db.stats.sst_reads - before[2],
-    )
-    db2, _ = _populated_store(seed=11)
-    for key in probe:
-        db2.get(key)
-    assert batch_delta == (
-        db2.stats.gets, db2.stats.bloom_negative, db2.stats.sst_reads
-    )
-
-
-def test_multi_get_empty_and_memtable_only():
-    db = MiniRocks(Options(memtable_entries=64))
-    assert db.multi_get([]) == []
-    db.put(b"a", b"1")
-    db.delete(b"b")
-    assert db.multi_get([b"a", b"b", b"c"]) == [b"1", None, None]
-    assert db.stats.gets == 3
 
 
 # -- satellite bookkeeping ----------------------------------------------------
@@ -446,6 +375,3 @@ def test_durable_reopen_serves_reads():
     for key, value in expected.items():
         assert reopened.get(key) == value
     assert reopened.get(b"key003") is None
-    assert reopened.multi_get(sorted(expected)) == [
-        expected[key] for key in sorted(expected)
-    ]
