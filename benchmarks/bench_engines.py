@@ -25,6 +25,7 @@ Knobs: ``REPRO_BENCH_ENGINE_TRIALS`` (base trial count, default 1500),
 import functools
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -162,7 +163,7 @@ def test_adaptive_vs_fixed_trials(benchmark):
                 functools.partial(estimate, plan=fixed_plan)
             )
             target = max(2.0 * fixed.halfwidth, 1e-6)
-            adaptive_plan = fixed_plan.evolve(target_halfwidth=target)
+            adaptive_plan = replace(fixed_plan, target_halfwidth=target)
             adaptive, adaptive_seconds = _timed(
                 functools.partial(estimate, plan=adaptive_plan)
             )

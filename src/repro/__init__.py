@@ -73,7 +73,6 @@ __all__ = [
     "estimate_collision_probability",
     "estimate_profile_collision",
     "SimulationPlan",
-    "TrialTask",
     "run_plan",
     "ENGINES",
     "SpecFactory",
@@ -138,7 +137,6 @@ __getattr__ = lazy_getattr(
             "ObliviousFactory",
             "SimulationPlan",
             "SpecFactory",
-            "TrialTask",
             "estimate_collision_probability",
             "estimate_profile_collision",
             "play_profile",

@@ -20,7 +20,6 @@ from repro.adversary.profiles import (
     count_profiles_d1,
     family_d1,
     family_dinf,
-    geometric_profile,
     is_epsilon_good,
     sample_profile_d1,
     zipf_profile,
@@ -45,7 +44,6 @@ __all__ = [
     "sample_profile_d1",
     "count_profiles_d1",
     "is_epsilon_good",
-    "geometric_profile",
     "zipf_profile",
     "PhiDistribution",
     "WeightedProfile",

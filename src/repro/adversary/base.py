@@ -2,9 +2,13 @@
 
 The game: at each step the adversary either *activates* a new instance
 (requesting its first ID), requests another ID from an existing
-instance, or stops. An **oblivious** adversary commits to the final
-demand profile before the game; an **adaptive** one sees every ID as it
-is produced and decides on the fly.
+instance, or stops. An **oblivious** adversary commits to its whole
+request sequence before the game; an **adaptive** one sees every ID as
+it is produced and decides on the fly. :func:`request_order` lists an
+oblivious sequence for a demand profile; :class:`ObliviousAdversary`
+replays it, and :meth:`DemandSequence.from_profile
+<repro.adversary.semi_adaptive.DemandSequence.from_profile>` encodes
+it for the semi-adaptive followers of §9.
 
 An adversary that has already decided its next several requests may
 ask for them as one *run* ``(instance, count)`` through
@@ -147,14 +151,46 @@ class Adversary(abc.ABC):
         return None if choice is None else (choice, 1)
 
 
+def request_order(
+    profile: DemandProfile,
+    order: str = "sequential",
+    rng: Optional[random.Random] = None,
+) -> List[int]:
+    """The instance each request of ``profile`` goes to, in ``order``.
+
+    Instances are numbered by their first request, as the engine
+    numbers them. ``"sequential"`` drains each instance in turn,
+    ``"round_robin"`` cycles through the instances with requests left,
+    and ``"random"`` shuffles the sequential order with ``rng`` (a
+    fresh unseeded one if ``None``).
+    """
+    if order not in ("sequential", "round_robin", "random"):
+        raise GameError(f"unknown interleaving order {order!r}")
+    demands = profile.demands
+    if order == "round_robin":
+        steps: List[int] = []
+        live = list(range(len(demands)))
+        for served in range(max(demands, default=0)):
+            # Each pass keeps the instances with a request left, so the
+            # whole order costs O(total demand).
+            live = [i for i in live if demands[i] > served]
+            steps.extend(live)
+        return steps
+    steps = [i for i, d in enumerate(demands) for _ in range(d)]
+    if order == "random":
+        (rng or random.Random()).shuffle(steps)
+        first: Dict[int, int] = {}
+        steps = [first.setdefault(i, len(first)) for i in steps]
+    return steps
+
+
 class ObliviousAdversary(Adversary):
     """Replays a fixed demand profile, ignoring all observed IDs.
 
     The request *interleaving* is irrelevant to the collision probability
     for an oblivious adversary (instances are independent), but it is
-    configurable to exercise the engine: ``"sequential"`` drains each
-    instance in turn, ``"round_robin"`` cycles, ``"random"`` shuffles the
-    request order (seeded).
+    configurable to exercise the engine: any order of
+    :func:`request_order` (``rng`` seeds ``"random"``).
     """
 
     def __init__(
@@ -163,49 +199,14 @@ class ObliviousAdversary(Adversary):
         order: str = "sequential",
         rng: Optional[random.Random] = None,
     ):
-        if order not in ("sequential", "round_robin", "random"):
-            raise GameError(f"unknown interleaving order {order!r}")
         self.profile = profile
-        self._schedule = self._build_schedule(profile, order, rng)
+        self._schedule = request_order(profile, order, rng)
         self._cursor = 0
-        # Logical instance (index into the profile) -> engine instance.
-        # Needed because with a shuffled schedule logical instance 3 may
-        # be activated before logical instance 1.
-        self._engine_index: Dict[int, int] = {}
-
-    @staticmethod
-    def _build_schedule(
-        profile: DemandProfile, order: str, rng: Optional[random.Random]
-    ) -> List[int]:
-        if order == "sequential":
-            schedule = [
-                i for i, d in enumerate(profile.demands) for _ in range(d)
-            ]
-        elif order == "round_robin":
-            schedule = []
-            pending: Dict[int, int] = dict(enumerate(profile.demands))
-            while pending:
-                for i in sorted(pending):
-                    schedule.append(i)
-                    pending[i] -= 1
-                    if pending[i] == 0:
-                        del pending[i]
-        else:  # random
-            schedule = [
-                i for i, d in enumerate(profile.demands) for _ in range(d)
-            ]
-            (rng or random.Random()).shuffle(schedule)
-        return schedule
 
     def next_request(self, view: GameView) -> Optional[int]:
-        """Next scheduled logical instance; ``None`` once the schedule is spent."""
+        """Next scheduled instance; ``None`` once the schedule is spent."""
         if self._cursor >= len(self._schedule):
             return None
-        logical = self._schedule[self._cursor]
+        instance = self._schedule[self._cursor]
         self._cursor += 1
-        if logical not in self._engine_index:
-            # First request to this logical instance: the engine will
-            # activate it as instance number `view.num_instances`.
-            self._engine_index[logical] = view.num_instances
-            return NEW_INSTANCE
-        return self._engine_index[logical]
+        return NEW_INSTANCE if instance >= view.num_instances else instance

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from repro.errors import ProfileError
 
@@ -161,22 +161,6 @@ def count_profiles_d1(n: int, d: int) -> int:
     if not 1 <= n <= d:
         raise ProfileError(f"need 1 <= n <= d, got n={n}, d={d}")
     return math.comb(d - 1, n - 1)
-
-
-def geometric_profile(n: int, largest: int) -> DemandProfile:
-    """``(largest, largest/2, ..., )`` — a canonical skewed profile.
-
-    Entries halve (floor, min 1) from ``largest``; used in competitive
-    experiments where `Cluster` is far from optimal.
-    """
-    if n < 1 or largest < 1:
-        raise ProfileError("need n >= 1 and largest >= 1")
-    demands: List[int] = []
-    value = largest
-    for _ in range(n):
-        demands.append(max(value, 1))
-        value //= 2
-    return DemandProfile(tuple(demands))
 
 
 def zipf_profile(

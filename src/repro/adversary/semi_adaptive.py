@@ -10,13 +10,24 @@ Because the only adaptive decision is "has a collision happened yet",
 these adversaries bound the power of fully adaptive ones against
 symmetric algorithms, at a cost of a factor of at most 4 in competitive
 ratio. Experiment E10 measures this factor.
+
+:meth:`DemandSequence.from_profile` takes its steps from
+:func:`~repro.adversary.base.request_order`, so a follower of a
+profile's sequence makes the requests an
+:class:`~repro.adversary.base.ObliviousAdversary` in the same order
+would, until a collision.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.adversary.base import NEW_INSTANCE, Adversary, GameView
+from repro.adversary.base import (
+    NEW_INSTANCE,
+    Adversary,
+    GameView,
+    request_order,
+)
 from repro.adversary.profiles import DemandProfile
 from repro.errors import GameError
 
@@ -49,23 +60,13 @@ class DemandSequence:
     def from_profile(
         profile: DemandProfile, order: str = "round_robin"
     ) -> "DemandSequence":
-        """Encode an oblivious profile as a demand sequence."""
-        if order == "sequential":
-            steps = [
-                i for i, d in enumerate(profile.demands) for _ in range(d)
-            ]
-        elif order == "round_robin":
-            steps = []
-            remaining = list(profile.demands)
-            # First activate everyone in numbering order, then cycle.
-            while any(r > 0 for r in remaining):
-                for i, r in enumerate(remaining):
-                    if r > 0:
-                        steps.append(i)
-                        remaining[i] -= 1
-        else:
+        """Encode an oblivious profile as a demand sequence, in
+        :func:`~repro.adversary.base.request_order`'s ``"sequential"``
+        or ``"round_robin"`` order (``"random"`` needs an RNG this
+        encoding does not take)."""
+        if order == "random":
             raise GameError(f"unknown order {order!r}")
-        return DemandSequence(steps)
+        return DemandSequence(request_order(profile, order))
 
     def final_profile(self) -> DemandProfile:
         """The profile reached when the sequence completes unharmed."""

@@ -27,7 +27,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
-import os
+import importlib
 import sys
 from typing import List, Optional
 
@@ -588,32 +588,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0 if passed == len(results) else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    # Lazy import: the devtools package is only needed for this
-    # subcommand and pulls in the whole rule registry.
-    from repro.devtools import LintEngine, render
-
-    engine = LintEngine()
-    report = engine.lint_paths(args.paths or ["src"])
-    print(render(report, args.format))
-    return report.exit_code
-
-
-def _cmd_doccheck(args: argparse.Namespace) -> int:
-    # Lazy import, same reasoning as lint.
-    from repro.devtools.doccheck import check_paths, default_doc_paths
-
-    paths = args.paths or default_doc_paths(os.getcwd())
-    if not paths:
-        raise ReproError(
-            "doccheck found no README.md or docs/*.md here; pass "
-            "markdown paths explicitly"
-        )
-    report = check_paths(paths, timeout=args.timeout)
-    print(report.render(verbose=args.verbose))
-    return report.exit_code
-
-
 def _add_plan_options(parser: argparse.ArgumentParser) -> None:
     """The SimulationPlan knobs shared by every estimating subcommand."""
     parser.add_argument(
@@ -925,45 +899,19 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--seed", type=int, default=20230414)
     _add_plan_options(rep)
 
-    lint = sub.add_parser(
+    # Listed for ``uuidp --help`` only: :func:`main` hands these
+    # subcommands' arguments to the tools' own parsers.
+    sub.add_parser(
         "lint",
-        help="run the repo-specific REPRO static-analysis rules",
+        add_help=False,
+        help="run the repo-specific REPRO static-analysis rules "
+        "(python -m repro.devtools)",
     )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help="files or directories to lint (default: src)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-
-    doccheck = sub.add_parser(
+    sub.add_parser(
         "doccheck",
-        help="smoke-run the fenced examples in README.md and docs/",
-    )
-    doccheck.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help="markdown files (default: README.md + docs/*.md)",
-    )
-    doccheck.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="seconds per block (default: REPRO_DOCCHECK_TIMEOUT or "
-        "60; a timeout is tolerated — only rot signatures fail)",
-    )
-    doccheck.add_argument(
-        "--verbose",
-        action="store_true",
-        help="list every block, not just failures",
+        add_help=False,
+        help="smoke-run the fenced examples in README.md and docs/ "
+        "(python -m repro.devtools.doccheck)",
     )
 
     return parser
@@ -980,16 +928,21 @@ _HANDLERS = {
     "worst": _cmd_worst,
     "compare": _cmd_compare,
     "report": _cmd_report,
-    "lint": _cmd_lint,
-    "doccheck": _cmd_doccheck,
 }
+
+#: Subcommands run by a dev tool's own ``main``, imported on use: the
+#: tool parses the arguments, so ``uuidp lint ...`` is
+#: ``python -m repro.devtools ...``.
+_TOOLS = {"lint": "repro.devtools", "doccheck": "repro.devtools.doccheck"}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        if argv and argv[0] in _TOOLS:
+            return importlib.import_module(_TOOLS[argv[0]]).main(argv[1:])
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -356,6 +356,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     paths = args.paths or default_doc_paths(os.getcwd())
+    if not paths:
+        parser.error(
+            "found no README.md or docs/*.md here; pass markdown paths "
+            "explicitly"
+        )
     report = check_paths(paths, timeout=args.timeout)
     print(report.render(verbose=args.verbose))
     return report.exit_code

@@ -74,7 +74,6 @@ class Policy:
         "DriverConfig",
         "AutoscalerConfig",
         "SimulationPlan",
-        "TrialTask",
         "ExperimentConfig",
     )
     #: REPRO502: (class, methods) whose bodies must route through the

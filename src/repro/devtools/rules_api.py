@@ -5,8 +5,8 @@ spans modules:
 
 * **REPRO501** — every public field of the configured config
   dataclasses (the serving stack's ``Options``, ``DriverConfig`` and
-  ``AutoscalerConfig``; the estimation stack's ``SimulationPlan``,
-  ``TrialTask`` and ``ExperimentConfig``) must be *consumed*: read as
+  ``AutoscalerConfig``; the estimation stack's ``SimulationPlan`` and
+  ``ExperimentConfig``) must be *consumed*: read as
   an attribute (``options.memtable_entries``) somewhere in the linted
   tree. A field nothing reads is either dead configuration or —
   worse — a knob users set that silently does nothing.
@@ -68,7 +68,7 @@ class ConfigFieldConsumedRule(Rule):
     family = "REPRO5"
     summary = (
         "every public field of a config dataclass (Options, "
-        "DriverConfig, AutoscalerConfig, SimulationPlan, TrialTask, "
+        "DriverConfig, AutoscalerConfig, SimulationPlan, "
         "ExperimentConfig) must be read somewhere (no silently-dead "
         "config knobs)"
     )

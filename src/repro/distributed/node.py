@@ -52,8 +52,6 @@ class Node:
             options=options, cache=cache, rng=rng, name=name,
             storage=storage,
         )
-        #: Files received from other nodes (kept for audits).
-        self.received_files: List[int] = []
         #: Fault-injection state: a dead node is unreachable (skipped
         #: by quorum reads/writes, scans, and the balancer) but keeps
         #: its on-"disk" state — kill models a process/network outage,
@@ -84,8 +82,7 @@ class Node:
         restarted storage — committed SSTs + WAL replay reconstruct
         exactly the durable state. Operational counters
         (:attr:`MiniRocks.stats`) start over, as they would in a real
-        restarted process; :attr:`received_files` survives (it is the
-        audit trail, not process state).
+        restarted process.
         """
         if self.storage is None:
             raise ConfigurationError(
@@ -153,7 +150,6 @@ class Node:
             self.db.manifest.add_file(0, sst, record_id=False)
         if self.storage is not None:
             self.db._commit_manifest()
-        self.received_files.append(sst.file_id)
 
     # -- introspection ---------------------------------------------------------
 

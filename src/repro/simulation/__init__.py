@@ -27,8 +27,6 @@ __all__ = [
     "resolve_workers",
     "ENGINES",
     "SimulationPlan",
-    "TrialTask",
-    "RoundResult",
     "run_plan",
     "NUMPY_SEED_LABEL",
     "VectorPlan",
@@ -55,12 +53,7 @@ __getattr__ = lazy_getattr(
             "estimate_profile_collision",
             "wilson_interval",
         ),
-        "repro.simulation.plan": (
-            "ENGINES",
-            "RoundResult",
-            "SimulationPlan",
-            "TrialTask",
-        ),
+        "repro.simulation.plan": ("ENGINES", "SimulationPlan"),
         "repro.simulation.seeds": ("derive_seed", "rng_for", "seed_stream"),
         "repro.simulation.vectorized": (
             "NUMPY_SEED_LABEL",

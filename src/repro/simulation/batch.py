@@ -1,8 +1,8 @@
 """Trial execution: the factory shims, one trial, and a range of trials.
 
 This module is the engine room beneath
-:func:`repro.simulation.engines.run_plan`: the rounds loop there hands
-each round's trial-index range to :func:`count_range` here. Three
+:func:`repro.simulation.engines.run_plan`, which hands the trial-index
+range up to each checkpoint to :func:`count_range` here. Three
 mechanisms live in this file:
 
 * **Sharding** — independent seeded trials are strided across the
@@ -16,12 +16,12 @@ mechanisms live in this file:
   through :meth:`repro.core.base.IDGenerator.generate_batch` and
   collisions are detected with set operations. The per-trial collision
   outcome is the same as the game loop's, so estimates never change.
-  Adaptive adversaries and other orders play the game loop.
+  Every other adversary factory plays the game loop.
 * **Vectorization** — the ``numpy`` kind goes further and simulates a
   whole block of oblivious trials as array operations
   (:mod:`repro.simulation.vectorized`). Dispatch requires a
-  :class:`SpecFactory` for one of the five core algorithms plus a
-  sequential :class:`ObliviousFactory`; anything else (adaptive
+  :class:`SpecFactory` for one of the five core algorithms plus an
+  :class:`ObliviousFactory`; anything else (adaptive
   attacks, custom factories, out-of-regime profiles, a missing NumPy)
   silently runs the python path. Unlike ``workers`` — a pure
   go-faster knob — the NumPy engine is a *separate RNG universe*:
@@ -38,11 +38,9 @@ pickle, so this module also ships three picklable factory shims:
 
 from __future__ import annotations
 
-import inspect
 import os
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.adversary.base import Adversary, ObliviousAdversary
@@ -85,33 +83,17 @@ class SpecFactory:
 
 @dataclass(frozen=True)
 class ObliviousFactory:
-    """A picklable adversary factory replaying a fixed demand profile.
+    """A picklable adversary factory replaying a fixed demand profile
+    in sequential order.
 
-    With the default ``order="sequential"`` the factory is also
-    *batchable*: :func:`play_trial` recognizes it and switches to the
-    ``generate_batch`` trial path.
+    The factory is also *batchable*: :func:`play_trial` recognizes it
+    and switches to the ``generate_batch`` trial path.
     """
 
     profile: DemandProfile
-    order: str = "sequential"
 
     def __call__(self, rng) -> Adversary:
-        return ObliviousAdversary(self.profile, order=self.order, rng=rng)
-
-
-@lru_cache(maxsize=None)
-def _accepts_rng(attack_cls: type) -> bool:
-    """Whether ``attack_cls.__init__`` takes an ``rng`` keyword."""
-    try:
-        parameters = inspect.signature(attack_cls.__init__).parameters
-    except (TypeError, ValueError):  # pragma: no cover - C extensions
-        return False
-    if "rng" in parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
+        return ObliviousAdversary(self.profile, rng=rng)
 
 
 @dataclass(frozen=True)
@@ -122,10 +104,9 @@ class AttackFactory:
     (stateful) attack per trial, like the lambdas it replaces. The class
     is pickled by reference, so any module-level adversary class works.
 
-    Attack classes whose ``__init__`` accepts an ``rng`` keyword get the
-    derived per-trial RNG, so any randomness they use is fully
-    seed-derived (an explicit ``rng=`` in ``kwargs`` wins); classes
-    without the keyword are built from ``kwargs`` alone.
+    The class must take an ``rng`` keyword: it gets the derived
+    per-trial RNG, so any randomness the attack uses is fully
+    seed-derived. An explicit ``rng=`` in ``kwargs`` wins.
     """
 
     attack_cls: type
@@ -136,9 +117,7 @@ class AttackFactory:
         object.__setattr__(self, "kwargs", kwargs)
 
     def __call__(self, rng) -> Adversary:
-        if "rng" not in self.kwargs and _accepts_rng(self.attack_cls):
-            return self.attack_cls(rng=rng, **self.kwargs)
-        return self.attack_cls(**self.kwargs)
+        return self.attack_cls(**{"rng": rng, **self.kwargs})
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +131,6 @@ def _batchable_profile(
     """The demand profile, if the factory admits the batched fast path."""
     if (
         isinstance(adversary_factory, ObliviousFactory)
-        and adversary_factory.order == "sequential"
         # Empty profiles must keep flowing through the game loop, which
         # rejects them ("adversary stopped without making any request");
         # the batched path would silently report no collision instead.
@@ -296,12 +274,12 @@ def count_range(
 ) -> int:
     """Count collisions over the trial indices ``[start, stop)``.
 
-    The partition-invariant primitive beneath the rounds loop of
-    :mod:`repro.simulation.engines`: each trial's outcome is a pure
-    function of ``(seed, trial index)``, so counts over any index range
-    compose by addition and never depend on ``workers`` or how a caller
-    slices the range into rounds. ``kind`` is the engine
-    (``python``/``numpy``) whose trials to play.
+    The partition-invariant primitive beneath
+    :func:`repro.simulation.engines.run_plan`: each trial's outcome is a
+    pure function of ``(seed, trial index)``, so counts over any index
+    range compose by addition and never depend on ``workers`` or on
+    the checkpoints at which a caller splits the range. ``kind`` is the
+    engine (``python``/``numpy``) whose trials to play.
 
     With an ``executor`` the range is strided across up to ``workers``
     blocks that run in its processes; without one it runs in-process.

@@ -34,7 +34,7 @@ from repro.adversary.profiles import DemandProfile
 from repro.simulation.batch import ObliviousFactory
 from repro.simulation.engines import run_plan
 from repro.simulation.game import InstanceFactory
-from repro.simulation.plan import SimulationPlan, TrialTask
+from repro.simulation.plan import SimulationPlan
 from repro.simulation.stats import (  # noqa: F401 - re-exports
     Estimate,
     _normal_quantile,
@@ -68,7 +68,9 @@ def estimate_collision_probability(
     """
     return run_plan(
         _DEFAULT_PLAN if plan is None else plan,
-        TrialTask(factory, m, adversary_factory),
+        factory,
+        m,
+        adversary_factory,
         seed=seed,
         trials=trials,
         confidence=confidence,

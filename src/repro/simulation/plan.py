@@ -1,10 +1,11 @@
-"""The estimation policy: :class:`SimulationPlan` and the data it runs on.
+"""The estimation policy: :class:`SimulationPlan`.
 
 Every Monte-Carlo estimate is described by one frozen
 :class:`SimulationPlan` — which engine, how many worker processes,
-and to what precision — applied to a :class:`TrialTask` (what to
-estimate). :func:`repro.simulation.engines.run_plan` executes the pair
-round by round; each round reports a :class:`RoundResult`.
+and to what precision. :func:`repro.simulation.engines.run_plan`
+applies it to a generator factory, a universe size and an adversary
+factory, one checkpoint of :meth:`SimulationPlan.checkpoints` at a
+time.
 
 There are exactly two engines (:data:`ENGINES`):
 
@@ -38,8 +39,8 @@ execution detail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from repro.errors import ConfigurationError
 
@@ -124,10 +125,6 @@ class SimulationPlan:
         """Whether this plan stops on precision rather than count."""
         return self.target_halfwidth is not None
 
-    def evolve(self, **changes: Any) -> "SimulationPlan":
-        """A copy of the plan with ``changes`` applied (it is frozen)."""
-        return replace(self, **changes)
-
     def resolve_cap(self, trials: Optional[int] = None) -> int:
         """The effective trial cap for a call site asking for ``trials``.
 
@@ -168,42 +165,7 @@ class SimulationPlan:
             count = min(cap, max(count + 1, math.ceil(count * self.growth)))
 
 
-@dataclass(frozen=True)
-class TrialTask:
-    """One estimation workload: what the engines execute.
-
-    ``factory(m, rng)`` builds a generator instance;
-    ``adversary_factory(rng)`` builds the (stateful) adversary for one
-    trial. Both must pickle for cross-process execution — see the
-    shims in :mod:`repro.simulation.batch`.
-    """
-
-    factory: Callable[..., Any]
-    m: int
-    adversary_factory: Callable[..., Any]
-
-
-@dataclass(frozen=True)
-class RoundResult:
-    """Collision count of one executed round of trials.
-
-    Covers trial indices ``[start, stop)``; a pure function of the
-    task, the root seed, and those indices.
-    """
-
-    start: int
-    stop: int
-    collisions: int
-
-    @property
-    def trials(self) -> int:
-        """Trials this slice covers (``stop - start``)."""
-        return self.stop - self.start
-
-
 __all__ = [
     "ENGINES",
     "SimulationPlan",
-    "TrialTask",
-    "RoundResult",
 ]

@@ -4,20 +4,16 @@ driver, UUIDP demand profiles, and time-varying arrival processes."""
 from repro.workloads.demand import (
     ARRIVAL_KINDS,
     ArrivalProcess,
-    doubling_demand_sweep,
     make_arrival,
     max_skew_profile,
     random_compositions,
     skewed_pair_grid,
-    uniform_profiles,
-    zipf_profiles,
 )
 from repro.workloads.distributions import (
     EXACT_CDF_MAX,
     KeyPicker,
     LatestPicker,
     ScrambledZipfianPicker,
-    UniformPicker,
     ZipfianApproxPicker,
     ZipfianPicker,
     make_zipfian,
@@ -43,7 +39,6 @@ from repro.workloads.ycsb import (
 
 __all__ = [
     "KeyPicker",
-    "UniformPicker",
     "ZipfianPicker",
     "ZipfianApproxPicker",
     "make_zipfian",
@@ -67,10 +62,7 @@ __all__ = [
     "ARRIVAL_KINDS",
     "ArrivalProcess",
     "make_arrival",
-    "uniform_profiles",
     "skewed_pair_grid",
     "random_compositions",
-    "zipf_profiles",
     "max_skew_profile",
-    "doubling_demand_sweep",
 ]

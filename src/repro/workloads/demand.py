@@ -2,10 +2,9 @@
 
 Two families of demand live here:
 
-* **Static demand profiles** — the profile families each paper
-  experiment sweeps over: uniform, maximally skewed, power-of-two
-  grids (the Φ support), Zipf-shaped, and random compositions — all
-  seeded and reproducible. These describe *how many IDs each instance
+* **Static demand profiles** — profile families the paper's
+  experiments sweep over: maximally skewed, power-of-two grids (the Φ
+  support), and random compositions — all seeded and reproducible. These describe *how many IDs each instance
   will mint*, frozen for a whole run.
 * **Arrival processes** (:class:`ArrivalProcess`) — *time-varying*
   offered load for the serving stack: the instantaneous demand rate at
@@ -26,13 +25,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
-from repro.adversary.profiles import (
-    DemandProfile,
-    sample_profile_d1,
-    zipf_profile,
-)
+from repro.adversary.profiles import DemandProfile, sample_profile_d1
 from repro.errors import ProfileError
 from repro.simulation.seeds import derive_seed
 
@@ -182,14 +177,6 @@ def make_arrival(kind: str, base_rate: float, **knobs) -> ArrivalProcess:
     return ArrivalProcess(kind=kind, base_rate=base_rate, **knobs)
 
 
-def uniform_profiles(
-    n_values: List[int], h: int
-) -> Iterator[DemandProfile]:
-    """``(h,)*n`` for each requested ``n``."""
-    for n in n_values:
-        yield DemandProfile.uniform(n, h)
-
-
 def skewed_pair_grid(
     max_exponent: int,
 ) -> Iterator[Tuple[int, int, DemandProfile]]:
@@ -214,15 +201,6 @@ def random_compositions(
         yield sample_profile_d1(n, d, rng)
 
 
-def zipf_profiles(
-    n: int, d: int, skews: List[float], seed: int
-) -> Iterator[Tuple[float, DemandProfile]]:
-    """One Zipf-shaped profile per requested skew."""
-    rng = random.Random(seed)
-    for skew in skews:
-        yield skew, zipf_profile(n, d, skew, rng)
-
-
 def max_skew_profile(n: int, d: int) -> DemandProfile:
     """``(d−n+1, 1, ..., 1)`` — all excess demand on one instance.
 
@@ -232,15 +210,3 @@ def max_skew_profile(n: int, d: int) -> DemandProfile:
     if not 2 <= n <= d:
         raise ProfileError(f"need 2 <= n <= d, got n={n}, d={d}")
     return DemandProfile((d - n + 1,) + (1,) * (n - 1))
-
-
-def doubling_demand_sweep(
-    start: int, stop: int
-) -> Iterator[int]:
-    """``start, 2·start, 4·start, ...`` up to ``stop`` inclusive."""
-    if start < 1 or stop < start:
-        raise ProfileError(f"need 1 <= start <= stop")
-    value = start
-    while value <= stop:
-        yield value
-        value *= 2

@@ -70,19 +70,6 @@ class KeyPicker:
         raise NotImplementedError
 
 
-class UniformPicker(KeyPicker):
-    """Uniform over ``[0, n)``."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ConfigurationError("n must be >= 1")
-        self.n = n
-
-    def pick(self, rng: random.Random) -> int:
-        """Uniform draw over ``[0, n)``."""
-        return rng.randrange(self.n)
-
-
 class ZipfianPicker(KeyPicker):
     """Zipf(θ): rank ``r`` has weight ``1/r^θ``. Exact inverse-CDF.
 

@@ -38,7 +38,6 @@ from repro.workloads.distributions import (
     KeyPicker,
     LatestPicker,
     ScrambledZipfianPicker,
-    UniformPicker,
 )
 
 Operation = Tuple[str, bytes, bytes]
@@ -75,7 +74,6 @@ class WorkloadSpec:
     operation_count: int = 5000
     value_size: int = 32
     zipf_theta: float = 0.99
-    uniform: bool = False  # override zipfian with uniform picks
     #: Scan lengths (workload E) are uniform in ``[1, max_scan_length]``.
     max_scan_length: int = 100
 
@@ -119,12 +117,7 @@ def run_phase(
     )
     picker: Optional[KeyPicker] = None
     if needs_picker:
-        if spec.uniform:
-            picker = UniformPicker(spec.record_count)
-        else:
-            picker = ScrambledZipfianPicker(
-                spec.record_count, spec.zipf_theta
-            )
+        picker = ScrambledZipfianPicker(spec.record_count, spec.zipf_theta)
     # Keys [0, record_count + inserted) exist; the insert branch below
     # is the only place `inserted` (and the latest window) advances, so
     # the two cannot drift even when insert_p rounds to zero ops.

@@ -414,3 +414,86 @@ class TestDriverIntegration:
         ).run()
         assert result.elasticity["scale_events"] == []
         assert result.elasticity["enabled"] is False
+
+
+# -- elasticity against flat fleets ------------------------------------------
+#
+# The scenarios of benchmarks/bench_elasticity.py at its smoke scale
+# (REPRO_BENCH_SCALE=0.05): 200 records, 800 measured ops, and a flash
+# crowd a quarter into the measured phase, six times the base load for
+# half of it. Arrival rate and node capacity shrink with the op count.
+
+ELASTIC_RECORDS = 200
+ELASTIC_OPS = 800
+
+
+def _elastic_options():
+    return Options(memtable_entries=128, block_entries=16)
+
+
+def _elastic_run(nodes, enabled):
+    time_scale = ELASTIC_OPS / 6000.0
+    config = DriverConfig(
+        spec=WorkloadSpec(
+            workload="a",
+            record_count=ELASTIC_RECORDS,
+            operation_count=ELASTIC_OPS,
+            value_size=32,
+        ),
+        shards=2,
+        workers=1,
+        seed=SEED,
+        autoscaler=AutoscalerConfig(
+            arrival=ArrivalProcess(
+                kind="flash",
+                base_rate=1000.0 * time_scale,
+                flash_at=ELASTIC_RECORDS + ELASTIC_OPS // 4,
+                flash_ticks=ELASTIC_OPS // 2,
+                peak=6.0,
+            ),
+            slo_p99_ms=20.0,
+            min_nodes=1,
+            max_nodes=8,
+            node_capacity=1000.0 * time_scale,
+            check_every=max(25, ELASTIC_OPS // 40),
+            breach_checks=2,
+            idle_checks=3,
+            idle_utilization=0.35,
+            shed_after_ms=80.0,
+            enabled=enabled,
+        ),
+    )
+    return WorkloadDriver(
+        cluster_target_factory(nodes, _elastic_options),
+        config,
+        collect=flush_and_report,
+    ).run()
+
+
+@pytest.fixture(scope="module")
+def autoscaled():
+    """The autoscaled fleet: starts at 2 nodes, may grow to 8."""
+    return _elastic_run(2, enabled=True)
+
+
+class TestElasticityAgainstFlatFleets:
+    def test_flash_crowd_makes_the_fleet_add_a_node(self, autoscaled):
+        events = autoscaled.elasticity["scale_events"]
+        assert any(event["action"] == "add" for event in events)
+
+    def test_flat_two_node_fleet_never_scales_and_sheds(self):
+        flat = _elastic_run(2, enabled=False)
+        assert flat.elasticity["scale_events"] == []
+        assert flat.elasticity["shed_ops"] > 0
+
+    def test_autoscaling_beats_a_flat_fleet_of_equal_average_cost(
+        self, autoscaled
+    ):
+        nodes = max(1, round(autoscaled.elasticity["avg_live_nodes"]))
+        flat = _elastic_run(nodes, enabled=False)
+        auto_fraction = autoscaled.elasticity["slo_violation_fraction"]
+        flat_fraction = flat.elasticity["slo_violation_fraction"]
+        assert auto_fraction < flat_fraction, (
+            f"autoscaled {auto_fraction:.1%} against a flat {nodes}-node "
+            f"fleet's {flat_fraction:.1%}"
+        )

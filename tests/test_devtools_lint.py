@@ -416,18 +416,20 @@ def test_repro501_consumption_may_cross_modules():
     assert codes(report) == []
 
 
-def test_repro501_flags_a_dead_trial_task_field():
+def test_repro501_flags_a_dead_simulation_plan_field():
     report = lint_one(
         "from dataclasses import dataclass\n"
         "@dataclass(frozen=True)\n"
-        "class TrialTask:\n"
-        "    m: int\n"
+        "class SimulationPlan:\n"
+        "    seed: int = 0\n"
         "    max_steps: int = 0\n"
-        "def run(task):\n"
-        "    return task.m\n"
+        "def run(plan):\n"
+        "    return plan.seed\n"
     )
     assert codes(report) == ["REPRO501"]
-    assert "TrialTask.max_steps is never read" in report.findings[0].message
+    assert (
+        "SimulationPlan.max_steps is never read" in report.findings[0].message
+    )
 
 
 def test_repro501_ignores_non_config_dataclasses():
@@ -706,9 +708,12 @@ def test_cli_lint_json_format(tmp_path, capsys):
     from repro.cli import main
 
     target = _write_tree(tmp_path, "import time\nt = time.time()\n")
-    assert main(["lint", str(target), "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["counts"] == {"REPRO103": 1}
+    # The option may come before or after the paths.
+    for argv in ([str(target), "--format", "json"],
+                 ["--format", "json", str(target)]):
+        assert main(["lint", *argv]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["counts"] == {"REPRO103": 1}
 
 
 def test_module_entry_point_matches_cli(tmp_path, capsys):

@@ -58,7 +58,7 @@ class TestNode:
         level, sst = exportable[0]
         donor.export_file(level, sst)
         receiver.import_file(level, sst)
-        assert sst.file_id in receiver.received_files
+        assert sst in [f for _, f in receiver.db.manifest.live_files()]
         # The data is now served by the receiver.
         key = sst.min_key
         assert receiver.db.get(key) is not None

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import repro
 from repro.devtools.doccheck import (
     ROT_SIGNATURES,
     _classify,
@@ -277,3 +278,20 @@ class TestCli:
         doc = _write_doc(tmp_path, "```bash\ntrue\n```\n")
         proc = self._run(doc, "--verbose")
         assert f"{doc}:1" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "command", [["repro.devtools.doccheck"], ["repro.cli", "doccheck"]]
+    )
+    def test_no_docs_to_find_is_an_error(self, tmp_path, command):
+        """Both entry points fail in a directory without README.md or
+        docs/, instead of reporting zero blocks clean."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", *command],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "found no README.md or docs/*.md" in proc.stderr

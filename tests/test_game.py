@@ -1,6 +1,7 @@
 """Unit tests for the game engine and adversary protocol."""
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from repro.adversary.base import (
     ObliviousAdversary,
 )
 from repro.adversary.profiles import DemandProfile, family_d1
+from repro.adversary.semi_adaptive import DemandSequence
 from repro.core.cluster import ClusterGenerator
 from repro.core.random_gen import RandomGenerator
 from repro.core.registry import make_generator
@@ -182,6 +184,64 @@ class TestObliviousAdversary:
         result = game.run()
         instances = [instance for instance, _ in result.transcript]
         assert instances == [0, 1, 0, 1]
+
+
+#: Fixed profiles of 1-7 instances with demands 1-11, built without an RNG.
+GOLDEN_PROFILES = [
+    DemandProfile(tuple(1 + (7 * k + 13 * i) % 11 for i in range(1 + k % 7)))
+    for k in range(40)
+]
+
+
+def request_stream(adversary):
+    """Every request ``adversary`` makes in a game that grants them all."""
+    view = GameView(1 << 30)
+    stream = []
+    request = adversary.next_request(view)
+    while request is not None:
+        stream.append(request)
+        instance = view.num_instances if request == NEW_INSTANCE else request
+        view._record(instance, len(stream), False)
+        request = adversary.next_request(view)
+    return stream
+
+
+def crc32_of(streams):
+    return zlib.crc32(repr(streams).encode())
+
+
+class TestRequestStreamGolden:
+    """CRC32 digests of the request streams themselves: a schedule
+    change that keeps every profile but reorders requests fails here."""
+
+    @pytest.mark.parametrize(
+        "order, seeds, digest",
+        [
+            ("sequential", [0], 0xC045C472),
+            ("round_robin", [0], 0xC356B8B6),
+            ("random", [0, 1, 2, 3, 4], 0xBC7412E5),
+        ],
+    )
+    def test_oblivious_adversary_streams(self, order, seeds, digest):
+        streams = [
+            request_stream(
+                ObliviousAdversary(profile, order=order, rng=random.Random(seed))
+            )
+            for profile in GOLDEN_PROFILES
+            for seed in seeds
+        ]
+        assert crc32_of(streams) == digest
+
+    @pytest.mark.parametrize(
+        "order, digest",
+        [("sequential", 0xC2C511A5), ("round_robin", 0xB36FEA9D)],
+    )
+    def test_demand_sequence_steps(self, order, digest):
+        steps = [
+            DemandSequence.from_profile(profile, order=order).steps
+            for profile in GOLDEN_PROFILES
+        ]
+        assert crc32_of(steps) == digest
 
 
 class TestPlayProfile:

@@ -11,7 +11,6 @@ from repro.adversary.profiles import (
     count_profiles_d1,
     family_d1,
     family_dinf,
-    geometric_profile,
     is_epsilon_good,
     sample_profile_d1,
     zipf_profile,
@@ -127,13 +126,6 @@ class TestSampling:
 
 
 class TestGenerators:
-    def test_geometric(self):
-        profile = geometric_profile(4, 16)
-        assert profile.demands == (16, 8, 4, 2)
-
-    def test_geometric_floors_at_one(self):
-        assert geometric_profile(5, 4).demands == (4, 2, 1, 1, 1)
-
     def test_zipf_total_exact(self):
         rng = random.Random(1)
         for skew in (0.5, 1.0, 2.0):

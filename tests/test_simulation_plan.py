@@ -12,8 +12,8 @@ Four guarantees are under test:
   :mod:`repro.analysis.exact`), and an unreachable target runs the cap
   exactly while still returning a valid Wilson interval.
 * **Closed engine set** — ``python`` and ``numpy`` are the only
-  engine names (:data:`ENGINES`), unknown names fail with both listed,
-  and :func:`run_plan` rejects rounds that do not tile the trial range.
+  engine names (:data:`ENGINES`), and unknown names fail with both
+  listed, in the plan and in :func:`count_range`.
 * **No shims** — the pre-plan ``workers=``/``batch=``/``engine=``
   kwargs and ``ExperimentConfig(workers=, engine=)`` are gone, and the
   numpy-missing fallback warning fires once per process, pointing at
@@ -24,6 +24,7 @@ All tests here carry the ``plan`` marker (CI's dedicated fast lane).
 
 import functools
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -37,17 +38,11 @@ from repro.simulation import batch as batch_module
 from repro.simulation import engines as engines_module
 from repro.simulation import vectorized
 from repro.simulation.batch import AttackFactory, ObliviousFactory, SpecFactory
-from repro.simulation.engines import run_plan
 from repro.simulation.montecarlo import (
     estimate_collision_probability,
     estimate_profile_collision,
 )
-from repro.simulation.plan import (
-    ENGINES,
-    RoundResult,
-    SimulationPlan,
-    TrialTask,
-)
+from repro.simulation.plan import ENGINES, SimulationPlan
 from repro.simulation.stats import wilson_interval
 
 pytestmark = pytest.mark.plan
@@ -74,7 +69,7 @@ class TestSplitInvariance:
             pytest.skip("NumPy not installed")
         base = SimulationPlan(engine=engine, target_halfwidth=0.02)
         estimates = [
-            _estimate(base.evolve(workers=workers))
+            _estimate(replace(base, workers=workers))
             for workers in (None, 2, 3)
         ]
         assert all(e == estimates[0] for e in estimates)
@@ -102,7 +97,7 @@ class TestSplitInvariance:
                 AttackFactory(ClosestPairAttack, n=6, d=96),
                 trials=400,
                 seed=23,
-                plan=plan.evolve(workers=workers),
+                plan=replace(plan, workers=workers),
             )
             for workers in (None, 2, 4)
         ]
@@ -203,29 +198,6 @@ class TestEngines:
     def test_unknown_engine_lists_known_names(self):
         with pytest.raises(ConfigurationError, match="python, numpy"):
             SimulationPlan(engine="turbo")
-
-    def test_misaligned_engine_rounds_rejected(self, monkeypatch):
-        """Rounds that do not tile [0, cap) must fail loudly, never
-        silently inflate the estimate (successes > trials)."""
-
-        def straddling(plan, task, seed, cap):
-            yield RoundResult(0, 128, 10)
-            yield RoundResult(128, cap + 8, 300)
-
-        def under_covering(plan, task, seed, cap):
-            yield RoundResult(0, 128, 10)
-
-        task = TrialTask(
-            factory=SpecFactory("cluster"),
-            m=M,
-            adversary_factory=ObliviousFactory(PROFILE),
-        )
-        monkeypatch.setattr(engines_module, "run_rounds", straddling)
-        with pytest.raises(ConfigurationError, match="tile"):
-            run_plan(SimulationPlan(), task, trials=512)
-        monkeypatch.setattr(engines_module, "run_rounds", under_covering)
-        with pytest.raises(ConfigurationError, match="covered only"):
-            run_plan(SimulationPlan(), task, trials=512)
 
     def test_count_range_rejects_unknown_engine_kinds(self):
         with pytest.raises(ConfigurationError, match="python, numpy"):

@@ -302,19 +302,6 @@ class _RecordingAttack(AdaptiveAdversary):
         return None
 
 
-class _LegacyAttack:
-    """An attack signature without rng: must keep constructing."""
-
-    def __init__(self, n, d):
-        self.n, self.d = n, d
-
-    def begin(self, view):
-        pass
-
-    def next_request(self, view):
-        return None
-
-
 def test_attack_factory_passes_derived_rng():
     rng = random.Random(42)
     attack = AttackFactory(_RecordingAttack, n=2, d=4)(rng)
@@ -332,11 +319,6 @@ def test_attack_factory_explicit_rng_kwarg_wins():
         random.Random(2)
     )
     assert attack.rng is explicit
-
-
-def test_attack_factory_tolerates_rng_free_signatures():
-    attack = AttackFactory(_LegacyAttack, n=2, d=4)(random.Random(3))
-    assert (attack.n, attack.d) == (2, 4)
 
 
 def test_attack_estimates_unchanged_by_rng_threading():

@@ -6,17 +6,13 @@ import pytest
 
 from repro.errors import ConfigurationError, ProfileError
 from repro.workloads.demand import (
-    doubling_demand_sweep,
     max_skew_profile,
     random_compositions,
     skewed_pair_grid,
-    uniform_profiles,
-    zipf_profiles,
 )
 from repro.workloads.distributions import (
     LatestPicker,
     ScrambledZipfianPicker,
-    UniformPicker,
     ZipfianApproxPicker,
     ZipfianPicker,
     make_zipfian,
@@ -31,12 +27,6 @@ from repro.workloads.ycsb import (
 
 
 class TestPickers:
-    def test_uniform_range(self, rng):
-        picker = UniformPicker(10)
-        picks = [picker.pick(rng) for _ in range(500)]
-        assert set(picks) <= set(range(10))
-        assert len(set(picks)) == 10
-
     def test_zipf_is_skewed(self, rng):
         picker = ZipfianPicker(100, theta=0.99)
         picks = [picker.pick(rng) for _ in range(3000)]
@@ -61,8 +51,6 @@ class TestPickers:
         assert recent > 0.5 * len(picks)
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            UniformPicker(0)
         with pytest.raises(ConfigurationError):
             LatestPicker(0)
 
@@ -301,10 +289,6 @@ class TestYCSB:
 
 
 class TestDemandGenerators:
-    def test_uniform_profiles(self):
-        profiles = list(uniform_profiles([2, 4], 8))
-        assert [p.demands for p in profiles] == [(8, 8), (8,) * 4]
-
     def test_skewed_pair_grid(self):
         grid = list(skewed_pair_grid(2))
         assert [(i, j) for i, j, _ in grid] == [
@@ -317,17 +301,7 @@ class TestDemandGenerators:
         for profile in random_compositions(4, 32, 20, seed=3):
             assert profile.n == 4 and profile.total == 32
 
-    def test_zipf_profiles(self):
-        results = list(zipf_profiles(4, 64, [0.5, 1.5], seed=1))
-        assert [skew for skew, _ in results] == [0.5, 1.5]
-        assert all(p.total == 64 for _, p in results)
-
     def test_max_skew(self):
         assert max_skew_profile(4, 10).demands == (7, 1, 1, 1)
         with pytest.raises(ProfileError):
             max_skew_profile(1, 10)
-
-    def test_doubling_sweep(self):
-        assert list(doubling_demand_sweep(3, 25)) == [3, 6, 12, 24]
-        with pytest.raises(ProfileError):
-            list(doubling_demand_sweep(0, 10))
