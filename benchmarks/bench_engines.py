@@ -1,14 +1,14 @@
 """Engine speedup matrix: python vs NumPy Monte-Carlo trial kernels.
 
-One benchmark measures the oblivious Monte-Carlo legs of E1/E2/E3 at
-equal trial counts under both engines (python × numpy, serial ×
-workers) and records the wall-clock matrix in the benchmark JSON
-artifact. The single-worker ``numpy`` engine must beat ``python`` by
-at least 5× on every workload (enforced on full-scale runs only; smoke
-runs with ``REPRO_BENCH_SCALE < 1`` just record the numbers), and the
-sharded leg must stay bit-identical to the serial one — the NumPy
-speedup multiplies with the ``workers=`` speedup instead of replacing
-it.
+One benchmark measures the oblivious Monte-Carlo legs of E1/E2/E3, and
+Cluster* on ``estimate-mc``'s profile, at equal trial counts under
+both engines (python × numpy, serial × workers) and records the
+wall-clock matrix in the benchmark JSON artifact. The single-worker
+``numpy`` engine must beat ``python`` by at least 5× on every
+workload (enforced on full-scale runs only; smoke runs with
+``REPRO_BENCH_SCALE < 1`` just record the numbers), and the sharded
+leg must stay bit-identical to the serial one — the NumPy speedup
+multiplies with the ``workers=`` speedup instead of replacing it.
 
 A second benchmark compares **adaptive precision vs fixed trial
 counts** per workload: a :class:`SimulationPlan` with
@@ -36,11 +36,13 @@ from repro.simulation.montecarlo import estimate_profile_collision
 from repro.simulation.plan import SimulationPlan
 from repro.simulation.vectorized import numpy_available
 
-#: (label, spec, m, profile) — the oblivious workloads of E1, E2, E3.
+#: (label, spec, m, profile) — the oblivious workloads of E1, E2, E3,
+#: and the Cluster* leg of perfbench's ``estimate-mc``.
 WORKLOADS = [
     ("e01_cluster", "cluster", 1 << 24, DemandProfile.uniform(16, 256)),
     ("e02_bins", "bins:64", 1 << 20, DemandProfile.uniform(8, 128)),
     ("e03_random", "random", 1 << 24, DemandProfile.uniform(8, 512)),
+    ("cluster_star", "cluster_star", 1 << 20, DemandProfile.uniform(16, 256)),
 ]
 
 
@@ -57,7 +59,7 @@ def _timed(fn):
 
 
 def test_engine_speedup_matrix(benchmark):
-    """python vs numpy × serial vs workers on the E1/E2/E3 workloads."""
+    """python vs numpy × serial vs workers on every workload."""
     if not numpy_available():
         pytest.skip("NumPy not installed; the numpy engine cannot run")
     trials = _trials()
@@ -134,7 +136,7 @@ def test_engine_speedup_matrix(benchmark):
 
 
 def test_adaptive_vs_fixed_trials(benchmark):
-    """Adaptive precision stops early: trials saved per E1/E2/E3 leg.
+    """Adaptive precision stops early: trials saved per workload.
 
     For each workload the fixed leg runs the full trial budget; the
     adaptive leg targets twice the fixed leg's achieved Wilson

@@ -23,6 +23,7 @@ rule catalog and suppression policy, and
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import List, Optional
 
 from repro.devtools.engine import (
@@ -39,6 +40,7 @@ from repro.devtools.sanitizer import (
     determinism_sanitizer,
     sanitizer_active,
 )
+from repro.errors import ReproError
 
 # Importing the rule modules registers their rules; referencing them
 # here keeps the imports visibly load-bearing.
@@ -84,7 +86,9 @@ __all__ = [
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point (``python -m repro.devtools``). Returns the
-    process exit code: 1 if any finding survived suppression, else 0."""
+    process exit code: 1 if any finding survived suppression, 2 if the
+    run failed (``error: ...`` on stderr, as ``uuidp`` prints it), else
+    0."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools",
         description=(
@@ -105,7 +109,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="report format (default: text)",
     )
     args = parser.parse_args(argv)
-    engine = LintEngine()
-    report = engine.lint_paths(args.paths or ["src"])
+    try:
+        report = LintEngine().lint_paths(args.paths or ["src"])
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(render(report, args.format))
     return report.exit_code

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import LintError
+from repro.errors import LintError, ReproError
 
 #: Markdown info strings treated as runnable, normalized.
 _LANGS = {
@@ -361,7 +361,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             "found no README.md or docs/*.md here; pass markdown paths "
             "explicitly"
         )
-    report = check_paths(paths, timeout=args.timeout)
+    try:
+        report = check_paths(paths, timeout=args.timeout)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.render(verbose=args.verbose))
     return report.exit_code
 

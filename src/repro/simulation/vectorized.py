@@ -14,18 +14,27 @@ closed-form array computation:
 ``Bins(k)``    same kernel over the reduced universe of ``⌊m/k⌋`` bins
                with ``⌈d_i/k⌉`` picks per instance (a shared bin always
                collides: both prefixes contain its first ID).
-``Cluster``    one uniform arc start per instance; collision ⇔ the
-               circular consecutive-gap test fails after sorting the
-               starts of each trial row.
+``Cluster``    one uniform arc start per instance; collision ⇔ the arcs
+               of a trial row are not disjoint. The sorted test: sort
+               the row's starts, and separately its ends (start +
+               length); the arcs are disjoint iff every sorted end is
+               at or before the next sorted start, and the last end at
+               or before the first start plus ``m``.
 ``Bins*``      instances with ``d ≥ 2^c`` pick one uniform bin among
                the ``2^(C−1−c)`` bins of chunk ``c``; collision ⇔ a
                duplicate bin pick inside any chunk row.
-``Cluster*``   run placements are vectorized across trials round by
-               round (rejection sampling against the instance's own
-               previous runs — the same uniform-over-free-starts law as
-               ``CircularIntervalSet.place``); the rare trials whose
-               placement cannot be resolved are replayed by the python
-               engine's trial.
+``Cluster*``   runs are placed by rejection sampling against the
+               instance's own earlier runs (the uniform-over-free-starts
+               law of ``CircularIntervalSet.place``), then the sorted
+               test runs on the emitted arcs. Placement is speculative:
+               one draw gives every run of a row its start, and a row
+               whose draws all pass the modulo limit and whose
+               instances' runs pass the sorted test is placed. Any other
+               row goes back to its first draw and through an exact
+               path that, round after round, keeps the runs before the
+               first rejected draw and redraws the rest; the rare rows
+               whose placement cannot be resolved are replayed by the
+               python engine's trial.
 =============  =========================================================
 
 Randomness is *counter-based* SplitMix64: trial ``t`` draws from the
@@ -46,7 +55,8 @@ point degrades to ``None`` (callers then use the python engine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 try:  # soft dependency: everything degrades to the python engine
     import numpy as _np
@@ -64,13 +74,17 @@ from repro.simulation.seeds import _MASK64, _splitmix64
 NUMPY_SEED_LABEL = 0x4E505633  # "NPV3"
 
 #: Universes above this bound stay on the python engine: the kernels
-#: do modular arithmetic like ``start + (m - other)`` in uint64, which
-#: needs ``2m < 2**63`` of headroom.
+#: add lengths and ``m`` to starts in uint64 and subtract starts in
+#: int64, which needs ``2m < 2**63`` of headroom.
 _MAX_UNIVERSE = 1 << 61
 
 #: Target array elements per internal trial chunk (bounds peak memory;
 #: invisible in the results because trials are keyed individually).
 _CHUNK_ELEMENTS = 1 << 22
+
+#: Pair tests per block of rows in Cluster*'s exact path: the pair
+#: arrays then stay in cache, which is faster than one pass per round.
+_PAIR_BLOCK = 1 << 16
 
 #: Rejection-round caps. The planner's gates keep per-round acceptance
 #: at ≥ exp(-2) (duplicate-free rows) and ≥ 1/2 (unbiased range and
@@ -83,6 +97,16 @@ _MAX_PLACEMENT_ROUNDS = 64
 def numpy_available() -> bool:
     """Whether the NumPy engine can run at all on this host."""
     return _np is not None
+
+
+def _modulo_limit(bound: int):
+    """First raw value an unbiased draw in ``[0, bound)`` rejects.
+
+    The largest multiple of ``bound`` at most ``2**64``, as a uint64;
+    ``None`` when that is ``2**64`` itself (nothing is rejected).
+    """
+    threshold = ((1 << 64) // bound) * bound
+    return _np.uint64(threshold) if threshold < (1 << 64) else None
 
 
 if _np is not None:
@@ -134,12 +158,20 @@ class _Streams:
         self.keys = keys
         self.pos = _np.zeros(keys.shape, dtype=_np.uint64)
 
-    def draw(self, cols: int, rows=None):
-        """Next ``cols`` raw 64-bit values for every row (or ``rows``)."""
+    def peek(self, offsets, rows=None):
+        """Raw values ``offsets`` draws past each row's position, unconsumed.
+
+        ``offsets`` is uint64 and broadcasts against (rows, 1).
+        """
         keys = self.keys if rows is None else self.keys[rows]
         pos = self.pos if rows is None else self.pos[rows]
-        offsets = pos[:, None] + _np.arange(cols, dtype=_np.uint64)[None, :]
-        values = _mix64(keys[:, None] + (offsets + _np.uint64(1)) * _GAMMA)
+        return _mix64(
+            keys[:, None] + (pos[:, None] + offsets + _np.uint64(1)) * _GAMMA
+        )
+
+    def draw(self, cols: int, rows=None):
+        """Next ``cols`` raw 64-bit values for every row (or ``rows``)."""
+        values = self.peek(_np.arange(cols, dtype=_np.uint64), rows)
         if rows is None:
             self.pos = self.pos + _np.uint64(cols)
         else:
@@ -149,14 +181,13 @@ class _Streams:
     def uniform(self, bound: int, cols: int, rows=None):
         """Exactly uniform draws in ``[0, bound)`` — (rows, cols) array.
 
-        Values at or above the largest multiple of ``bound`` below
-        ``2**64`` are redrawn (per element), so the modulo at the end
-        carries no bias; acceptance is ≥ 1/2 per draw.
+        Values at or above :func:`_modulo_limit` are redrawn (per
+        element), so the modulo at the end carries no bias; acceptance
+        is ≥ 1/2 per draw.
         """
         values = self.draw(cols, rows)
-        threshold = ((1 << 64) // bound) * bound
-        if threshold < (1 << 64):
-            limit = _np.uint64(threshold)
+        limit = _modulo_limit(bound)
+        if limit is not None:
             for _ in range(_MAX_REJECT_ROUNDS):
                 bad = values >= limit
                 bad_rows = _np.nonzero(bad.any(axis=1))[0]
@@ -216,22 +247,24 @@ def _subsets_collisions(universe: int, sizes, streams: "_Streams"):
 def _circular_arcs_disjoint(m: int, starts, lengths):
     """Row-wise: are the circular arcs ``[start, start+length)`` disjoint?
 
-    ``starts`` is (trials, arcs) uint64, ``lengths`` (arcs,) uint64 and
-    shared by all rows. Sort each row by start; the arcs are pairwise
-    disjoint iff every consecutive forward gap fits the earlier arc,
-    including the wrap-around pair.
+    ``starts`` is (trials, arcs) uint64 in ``[0, m)``, or (trials,
+    groups, arcs) to test each group of a row on its own (a row passes
+    iff every group does); ``lengths`` (uint64, each in ``[1, m]``)
+    broadcasts against it. Sort the starts and, separately, the
+    unreduced ends ``start + length``: the arcs are pairwise disjoint
+    iff every sorted end is at or before the next sorted start and the
+    last end at or before the first start plus ``m``. (Disjoint arcs
+    end in the order they start, so the two sorts pair each arc with
+    itself; conversely, if the ``i`` smallest ends all come at or
+    before the ``(i+1)``-th start, they are the ends of the ``i``
+    earliest arcs, which therefore do not reach it.)
     """
-    order = _np.argsort(starts, axis=1, kind="stable")
-    sorted_starts = _np.take_along_axis(starts, order, axis=1)
-    sorted_lengths = lengths[order]
-    if starts.shape[1] > 1:
-        gaps = sorted_starts[:, 1:] - sorted_starts[:, :-1]
-        ok = (gaps >= sorted_lengths[:, :-1]).all(axis=1)
-    else:
-        ok = _np.ones(starts.shape[0], dtype=bool)
-    # Wrap gap, computed as (m - last) + first to stay inside uint64.
-    wrap = (_np.uint64(m) - sorted_starts[:, -1]) + sorted_starts[:, 0]
-    return ok & (wrap >= sorted_lengths[:, -1])
+    first = _np.sort(starts, axis=-1)
+    ends = _np.sort(starts + lengths, axis=-1)
+    rows = len(starts)
+    ok = (ends[..., :-1] <= first[..., 1:]).reshape(rows, -1).all(axis=1)
+    wrap = ends[..., -1] <= first[..., 0] + _np.uint64(m)
+    return ok & wrap.reshape(rows, -1).all(axis=1)
 
 
 def _cluster_collisions(m: int, demands, streams: "_Streams"):
@@ -269,51 +302,172 @@ def _cluster_star_run_lengths(demand: int) -> Tuple[List[int], int]:
     return lengths, emitted_tail
 
 
+class _RunLayout(NamedTuple):
+    """Where a Cluster* row keeps each run, and what the kernel tests.
+
+    Instance ``i``'s runs take consecutive columns in placement order,
+    so column order is the order the python engine draws them in. One
+    layout is cached per profile and shared, so its arrays are read-only.
+    """
+
+    intended: object  # uint64 length each column's run is placed at
+    emitted: object  # uint64 IDs each column's run emits
+    groups: tuple  # one (instances, k) column array per run count k >= 2
+    first: object  # columns first < second of every same-instance
+    second: object  # run pair, ordered by second
+
+
+@lru_cache(maxsize=64)
+def _cluster_star_layout(demands: Tuple[int, ...]) -> _RunLayout:
+    intended: List[int] = []
+    emitted: List[int] = []
+    pairs: List[Tuple[int, int]] = []
+    by_count: Dict[int, List[List[int]]] = {}
+    for demand in demands:
+        lengths, emitted_tail = _cluster_star_run_lengths(demand)
+        columns = list(range(len(intended), len(intended) + len(lengths)))
+        if len(columns) > 1:
+            by_count.setdefault(len(columns), []).append(columns)
+        pairs += [(a, b) for b in columns for a in columns if a < b]
+        intended += lengths
+        emitted += lengths[:-1] + [emitted_tail]
+    first, second = _np.asarray(pairs, dtype=_np.intp).reshape(-1, 2).T
+    layout = _RunLayout(
+        _np.asarray(intended, dtype=_np.uint64),
+        _np.asarray(emitted, dtype=_np.uint64),
+        tuple(_np.asarray(columns) for columns in by_count.values()),
+        first,
+        second,
+    )
+    for array in (layout.intended, layout.emitted, first, second, *layout.groups):
+        array.flags.writeable = False
+    return layout
+
+
 def _cluster_star_collisions(m: int, demands, streams: "_Streams"):
-    """Cluster*: vectorized run placement, then the arcs-disjoint test.
+    """Cluster*: speculative run placement, an exact path, the arcs test.
+
+    Every row first draws all its run starts at once. A row whose draws
+    are all below the modulo limit, and whose instances' runs (at their
+    intended lengths) are disjoint, is what sequential placement gives
+    when every draw is accepted at the first try. The other rows go
+    back to their first draw and through :func:`_place_runs_in_order`.
 
     Returns ``(collided, fallback)``; rows flagged in ``fallback`` hit
     the placement-round cap (possible only under extreme fragmentation,
     which the planner's ``k·2^k ≤ m`` gate makes astronomically rare)
     and must be replayed through the python game loop.
     """
-    trials = len(streams.keys)
-    m_u64 = _np.uint64(m)
-    fallback = _np.zeros(trials, dtype=bool)
-    arc_start_columns = []
-    arc_lengths: List[int] = []
-    for demand in demands:
-        lengths, emitted_tail = _cluster_star_run_lengths(demand)
-        placed: List[Tuple[object, int]] = []
-        for index, length in enumerate(lengths):
-            length_u64 = _np.uint64(length)
-            starts = streams.uniform(m, 1)[:, 0]
-            for _ in range(_MAX_PLACEMENT_ROUNDS):
-                bad = _np.zeros(trials, dtype=bool)
-                for prev_starts, prev_length in placed:
-                    forward = (starts + (m_u64 - prev_starts)) % m_u64
-                    backward = (prev_starts + (m_u64 - starts)) % m_u64
-                    bad |= (forward < _np.uint64(prev_length)) | (
-                        backward < length_u64
-                    )
-                bad_rows = _np.nonzero(bad)[0]
-                if bad_rows.size == 0:
-                    break
-                starts[bad_rows] = streams.uniform(m, 1, bad_rows)[:, 0]
-            else:
-                # Same trials keep failing: their free space is too
-                # fragmented for rejection sampling (the python engine
-                # would shrink the run). Replay them exactly.
-                fallback |= bad
-            placed.append((starts, length))
-            arc_start_columns.append(starts)
-            arc_lengths.append(
-                length if index < len(lengths) - 1 else emitted_tail
-            )
-    starts_matrix = _np.stack(arc_start_columns, axis=1)
-    lengths_array = _np.asarray(arc_lengths, dtype=_np.uint64)
-    collided = ~_circular_arcs_disjoint(m, starts_matrix, lengths_array)
+    layout = _cluster_star_layout(tuple(demands))
+    runs = len(layout.intended)
+    values = streams.draw(runs)
+    starts = values % _np.uint64(m)
+    limit = _modulo_limit(m)
+    if limit is None:
+        accepted = _np.ones(len(starts), dtype=bool)
+    else:
+        accepted = (values < limit).all(axis=1)
+    for columns in layout.groups:
+        accepted &= _circular_arcs_disjoint(
+            m, starts[:, columns], layout.intended[columns]
+        )
+    fallback = _np.zeros(len(starts), dtype=bool)
+    redo = _np.nonzero(~accepted)[0]
+    if redo.size:
+        streams.pos[redo] -= _np.uint64(runs)
+        starts[redo], fallback[redo] = _place_runs_in_order(
+            m, streams, redo, values[redo], layout
+        )
+    collided = ~_circular_arcs_disjoint(m, starts, layout.emitted)
     return collided, fallback
+
+
+def _place_runs_in_order(m: int, streams: "_Streams", rows, values, layout):
+    """Sequential rejection placement of every run, for ``rows`` at once.
+
+    The python engine's law: each run draws uniform starts until one
+    is below the modulo limit and clear of its instance's earlier runs.
+    ``values`` holds each row's next draws, one per run, not yet
+    consumed. Each round keeps a row's runs before its first rejected
+    draw, consumes that draw, and draws the runs still to place. A
+    draw that clashes (not one past the modulo limit) counts as a
+    placement rejection of its run; a row whose run is rejected
+    ``_MAX_PLACEMENT_ROUNDS`` times is flagged for fallback and stops.
+    Clashes are tested on the same-instance pairs, ordered by their
+    later run, so the first clashing pair names the first clashing run.
+
+    Returns ``(starts, fallback)`` for ``rows``.
+    """
+    runs = len(layout.intended)
+    columns = _np.arange(runs)
+    limit = _modulo_limit(m)
+    m_u64 = _np.uint64(m)
+    first, second = layout.first, layout.second
+    # Runs a < b of one instance clash iff d = start_b - start_a, give
+    # or take m, lies strictly between -len_b and len_a. With d in
+    # (-m, m) that is -len_b < d < len_a (one unsigned compare of
+    # d + len_b - 1), d < len_a - m, or d > m - len_b.
+    len_a = layout.intended[first].astype(_np.int64)
+    len_b = layout.intended[second].astype(_np.int64)
+    shift, span = len_b - 1, (len_a + len_b - 1).astype(_np.uint64)
+    low, high = len_a - m, m - len_b
+    block = max(1, _PAIR_BLOCK // max(1, len(first)))
+    out = _np.zeros((len(rows), runs), dtype=_np.uint64)
+    fallback = _np.zeros(len(rows), dtype=bool)
+    # State of the rows still placing, compacted every round: where
+    # each sits in ``rows``, its runs so far, how many it has placed,
+    # how often the run it is placing was rejected, and how many draws
+    # in a row came out past the modulo limit.
+    index = _np.arange(len(rows))
+    starts = _np.zeros_like(out)
+    placed = _np.zeros(len(rows), dtype=_np.intp)
+    rejected = _np.zeros_like(placed)
+    streak = _np.zeros_like(placed)
+    while True:
+        pending = columns >= placed[:, None]
+        fresh = _np.where(pending, values % m_u64, starts)
+        signed = fresh.view(_np.int64)
+        first_clash = _np.full(len(signed), runs)
+        for lo in range(0, len(signed) if len(first) else 0, block):
+            part = signed[lo:lo + block]
+            d = part.take(second, axis=1) - part.take(first, axis=1)
+            clash = (d + shift).view(_np.uint64) < span
+            clash |= d < low
+            clash |= d > high
+            first_clash[lo:lo + block] = _np.where(
+                clash.any(axis=1), second[clash.argmax(axis=1)], runs
+            )
+        if limit is None:
+            first_over = _np.full(len(index), runs)
+        else:
+            over = pending & (values >= limit)
+            first_over = _np.where(
+                over.any(axis=1), over.argmax(axis=1), runs
+            )
+        stop = _np.minimum(first_clash, first_over)
+        streams.pos[rows[index]] += (
+            _np.minimum(stop + 1, runs) - placed
+        ).astype(_np.uint64)
+        moved = stop > placed
+        is_over = (first_over <= first_clash) & (first_over < runs)
+        rejected = _np.where(moved, 0, rejected) + (first_clash < first_over)
+        streak = _np.where(is_over, _np.where(moved, 0, streak) + 1, 0)
+        if (streak >= _MAX_REJECT_ROUNDS).any():
+            raise GameError(  # pragma: no cover - P <= 2**-512 per draw
+                "uniform rejection sampling did not converge"
+            )
+        capped = rejected >= _MAX_PLACEMENT_ROUNDS
+        fallback[index[capped]] = True
+        done = stop == runs
+        out[index[done]] = fresh[done]
+        keep = ~(done | capped)
+        if not keep.any():
+            return out, fallback
+        index, starts, placed = index[keep], fresh[keep], stop[keep]
+        rejected, streak = rejected[keep], streak[keep]
+        values = streams.peek(
+            (columns - placed[:, None]).astype(_np.uint64), rows[index]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +501,10 @@ class VectorPlan:
             return max(1, len(self.demands))
         if self.kind == "bins_star":
             return max(1, len(self.demands) * chunk_count(self.m))
-        return max(1, sum(d.bit_length() for d in self.demands))
+        # Cluster*: one column per run, and one per same-instance run
+        # pair for the rows the exact path places.
+        runs = [d.bit_length() for d in self.demands]
+        return max(1, sum(k * (k + 1) // 2 for k in runs))
 
     def count_collisions(
         self, seed: int, offset: int, stride: int, trials: int

@@ -4,9 +4,14 @@ are honored only when justified, reporters keep their schema — and the
 engine runs clean over ``src/`` at HEAD."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.devtools import (
     DEFAULT_POLICY,
@@ -722,3 +727,29 @@ def test_module_entry_point_matches_cli(tmp_path, capsys):
     target = _write_tree(tmp_path, "import time\nt = time.time()\n")
     assert devtools_main([str(target)]) == 1
     assert "REPRO103" in capsys.readouterr().out
+
+
+def test_missing_path_fails_alike_in_every_entry_point(tmp_path):
+    """Both tools, in their module and their ``uuidp`` form, report a
+    path that does not exist as ``error: ...`` and exit 2."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    missing = str(tmp_path / "absent")
+    forms = [
+        (["repro.devtools"], missing,
+         f"error: no such file or directory: {missing}\n"),
+        (["repro.cli", "lint"], missing,
+         f"error: no such file or directory: {missing}\n"),
+        (["repro.devtools.doccheck"], missing + ".md",
+         f"error: doccheck: no such file: {missing}.md\n"),
+        (["repro.cli", "doccheck"], missing + ".md",
+         f"error: doccheck: no such file: {missing}.md\n"),
+    ]
+    for command, path, message in forms:
+        proc = subprocess.run(
+            [sys.executable, "-m", *command, path],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (2, message), command

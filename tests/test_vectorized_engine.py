@@ -17,6 +17,9 @@ Four guarantees are under test:
 * **Seed-derivation parity** — the vectorized SplitMix64 reproduces
   :func:`repro.simulation.seeds.derive_seed` bit for bit, and the
   rejection-sampled uniforms are exact (in-range, unbiased law).
+* **Kernel references** — the sorted arcs test and the speculative
+  Cluster* placement agree row for row with the straightforward
+  argsort test and round-by-round placement loop kept here.
 """
 
 import math
@@ -48,8 +51,12 @@ from repro.simulation.montecarlo import (
 )
 from repro.simulation.plan import SimulationPlan
 from repro.simulation.seeds import derive_seed
+import repro.simulation.vectorized as vectorized
 from repro.simulation.vectorized import (
     NUMPY_SEED_LABEL,
+    _circular_arcs_disjoint,
+    _cluster_star_collisions,
+    _cluster_star_run_lengths,
     _Streams,
     plan_profile,
     trial_keys,
@@ -219,13 +226,156 @@ def test_numpy_engine_bit_identical_across_workers():
 
 
 def test_numpy_engine_independent_of_internal_chunking(monkeypatch):
-    import repro.simulation.vectorized as vectorized
-
-    profile = DemandProfile((64, 64, 64))
-    plan = plan_profile("random", 65536, profile)
-    full = plan.count_collisions(5, 0, 1, 1200)
+    plans = [
+        plan_profile("random", 65536, DemandProfile((64, 64, 64))),
+        # About one row in eight takes Cluster*'s exact path, so small
+        # chunks run it in several chunks.
+        plan_profile("cluster_star", 16384, DemandProfile((100, 80, 60, 40))),
+    ]
+    full = [plan.count_collisions(5, 0, 1, 1200) for plan in plans]
     monkeypatch.setattr(vectorized, "_CHUNK_ELEMENTS", 1 << 10)
-    assert plan.count_collisions(5, 0, 1, 1200) == full
+    assert [plan.count_collisions(5, 0, 1, 1200) for plan in plans] == full
+
+
+# ---------------------------------------------------------------------------
+# Kernel references: the sorted arcs test and speculative Cluster*
+# placement against the straightforward versions
+# ---------------------------------------------------------------------------
+
+
+def _reference_arcs_disjoint(m, starts, lengths):
+    """Sort each row by start; disjoint iff every forward gap, the
+    wrap-around one included, fits the earlier arc."""
+    order = numpy.argsort(starts, axis=1, kind="stable")
+    sorted_starts = numpy.take_along_axis(starts, order, axis=1)
+    sorted_lengths = lengths[order]
+    gaps = sorted_starts[:, 1:] - sorted_starts[:, :-1]
+    ok = (gaps >= sorted_lengths[:, :-1]).all(axis=1)
+    wrap = (numpy.uint64(m) - sorted_starts[:, -1]) + sorted_starts[:, 0]
+    return ok & (wrap >= sorted_lengths[:, -1])
+
+
+def _reference_cluster_star(m, demands, streams, max_rounds):
+    """Place one run at a time for all rows, redrawing the rows whose
+    run clashes with an earlier run of its instance, round by round."""
+    trials = len(streams.keys)
+    m_u64 = numpy.uint64(m)
+    fallback = numpy.zeros(trials, dtype=bool)
+    columns, arc_lengths = [], []
+    for demand in demands:
+        lengths, emitted_tail = _cluster_star_run_lengths(demand)
+        placed = []
+        for index, length in enumerate(lengths):
+            starts = streams.uniform(m, 1)[:, 0]
+            for _ in range(max_rounds):
+                bad = numpy.zeros(trials, dtype=bool)
+                for prev_starts, prev_length in placed:
+                    forward = (starts + (m_u64 - prev_starts)) % m_u64
+                    backward = (prev_starts + (m_u64 - starts)) % m_u64
+                    bad |= (forward < numpy.uint64(prev_length)) | (
+                        backward < numpy.uint64(length)
+                    )
+                bad_rows = numpy.nonzero(bad)[0]
+                if bad_rows.size == 0:
+                    break
+                starts[bad_rows] = streams.uniform(m, 1, bad_rows)[:, 0]
+            else:
+                fallback |= bad
+            placed.append((starts, length))
+            columns.append(starts)
+            arc_lengths.append(
+                length if index < len(lengths) - 1 else emitted_tail
+            )
+    collided = ~_reference_arcs_disjoint(
+        m,
+        numpy.stack(columns, axis=1),
+        numpy.asarray(arc_lengths, dtype=numpy.uint64),
+    )
+    return collided, fallback
+
+
+def _assert_cluster_star_matches_reference(m, demands, trials, seed):
+    """Same fallback rows; same collision and stream position on every
+    other row. Returns the number of fallback rows."""
+    keys = trial_keys(seed, numpy.arange(trials))
+    reference, kernel = _Streams(keys), _Streams(keys)
+    want_collided, want_fallback = _reference_cluster_star(
+        m, demands, reference, vectorized._MAX_PLACEMENT_ROUNDS
+    )
+    collided, fallback = _cluster_star_collisions(m, demands, kernel)
+    assert (fallback == want_fallback).all()
+    kept = ~fallback
+    assert (collided[kept] == want_collided[kept]).all()
+    assert (kernel.pos[kept] == reference.pos[kept]).all()
+    return int(fallback.sum())
+
+
+@pytest.mark.parametrize(
+    "m,demands,trials",
+    [
+        # estimate-mc's Cluster* leg.
+        (1 << 20, (256,) * 16, 400),
+        # Dense: about one row in eight takes the exact path.
+        (16384, (100, 80, 60, 40), 2000),
+        # The modulo limit rejects one draw in 16, so every row redraws.
+        (3 << 59, (256,) * 16, 200),
+        (3 << 59, (1, 3, 1), 400),
+        # Single-ID runs only: no run pairs to test.
+        (64, (1,) * 12, 2000),
+        (7, (1, 1, 1), 2000),
+        (3 << 59, (1,) * 4, 400),
+        # Tiny universes, where every start gap between two runs occurs.
+        (24, (3, 3, 2), 2000),
+        (64, (7, 5, 1), 2000),
+        # The planner's gate edge, k·2^k = m: nearly every row redraws.
+        (4608, (256, 200), 1000),
+    ],
+)
+def test_cluster_star_kernel_matches_round_by_round_reference(
+    m, demands, trials
+):
+    assert plan_profile("cluster_star", m, DemandProfile(demands))
+    _assert_cluster_star_matches_reference(m, demands, trials, seed=17)
+
+
+@pytest.mark.parametrize(
+    "max_rounds,m,demands,fallbacks",
+    [
+        (1, 4096, (60, 60, 60), 180),
+        (2, 4096, (60, 60, 60), 3),
+        (3, 4096, (60, 60, 60), 0),
+        # Draws past the modulo limit are not placement rejections.
+        (1, 3 << 59, (256,) * 16, 0),
+    ],
+)
+def test_cluster_star_placement_cap_matches_reference(
+    monkeypatch, max_rounds, m, demands, fallbacks
+):
+    monkeypatch.setattr(vectorized, "_MAX_PLACEMENT_ROUNDS", max_rounds)
+    assert (
+        _assert_cluster_star_matches_reference(m, demands, 800, seed=5)
+        == fallbacks
+    )
+
+
+def test_sorted_arcs_test_matches_argsort_reference():
+    """Random rows with repeated starts, wrapping arcs and arcs of
+    length m, in universes small enough for all three to be common."""
+    rng = random.Random(29)
+    for _ in range(3000):
+        m = rng.randint(1, 40)
+        arcs = rng.randint(1, 8)
+        starts = numpy.array(
+            [[rng.randrange(m) for _ in range(arcs)] for _ in range(20)],
+            dtype=numpy.uint64,
+        )
+        lengths = numpy.array(
+            [rng.randint(1, m) for _ in range(arcs)], dtype=numpy.uint64
+        )
+        assert (
+            _circular_arcs_disjoint(m, starts, lengths)
+            == _reference_arcs_disjoint(m, starts, lengths)
+        ).all(), (m, starts, lengths)
 
 
 # ---------------------------------------------------------------------------
