@@ -1,7 +1,8 @@
 """Engine speedup matrix: python vs NumPy Monte-Carlo trial kernels.
 
-One benchmark measures the oblivious Monte-Carlo legs of E1/E2/E3, and
-Cluster* on ``estimate-mc``'s profile, at equal trial counts under
+One benchmark measures the oblivious Monte-Carlo legs of E1/E2/E3,
+Cluster* on ``estimate-mc``'s profile, and E3's profile on a universe
+above 2^32 that is not a power of two, at equal trial counts under
 both engines (python × numpy, serial × workers) and records the
 wall-clock matrix in the benchmark JSON artifact. The single-worker
 ``numpy`` engine must beat ``python`` by at least 5× on every
@@ -37,12 +38,16 @@ from repro.simulation.plan import SimulationPlan
 from repro.simulation.vectorized import numpy_available
 
 #: (label, spec, m, profile) — the oblivious workloads of E1, E2, E3,
-#: and the Cluster* leg of perfbench's ``estimate-mc``.
+#: and the Cluster* leg of perfbench's ``estimate-mc``, whose universes
+#: are powers of two up to 2^24 (the kernels mask draws and work in
+#: uint32), and Random on a universe past 2^32 that is not a power of
+#: two (a modulo with rejection, in uint64).
 WORKLOADS = [
     ("e01_cluster", "cluster", 1 << 24, DemandProfile.uniform(16, 256)),
     ("e02_bins", "bins:64", 1 << 20, DemandProfile.uniform(8, 128)),
     ("e03_random", "random", 1 << 24, DemandProfile.uniform(8, 512)),
     ("cluster_star", "cluster_star", 1 << 20, DemandProfile.uniform(16, 256)),
+    ("random_wide", "random", (1 << 32) + 15, DemandProfile.uniform(8, 512)),
 ]
 
 

@@ -37,6 +37,15 @@ closed-form array computation:
                python engine's trial.
 =============  =========================================================
 
+Draws are raw 64-bit SplitMix64 outputs. One reduced into ``[0, bound)``
+is masked with ``bound − 1`` when ``bound`` is a power of two (every
+universe the experiments use), and otherwise taken modulo ``bound``
+after the biased top of the range is redrawn. Reduced values, and the
+sorts and comparisons built on them, are uint32 wherever every value
+fits: ``bound ≤ 2^32`` for Random, Bins(k) and Bins* picks, and
+``2m ≤ 2^32`` for the Cluster and Cluster* arcs test, whose ends reach
+``2m − 1``. Otherwise they stay uint64. Neither choice changes a value.
+
 Randomness is *counter-based* SplitMix64: trial ``t`` draws from the
 stream keyed by ``derive_seed(root, t, NUMPY_SEED_LABEL)``, so every
 trial's outcome is a pure function of ``(root seed, trial index)`` and
@@ -74,13 +83,18 @@ from repro.simulation.seeds import _MASK64, _splitmix64
 NUMPY_SEED_LABEL = 0x4E505633  # "NPV3"
 
 #: Universes above this bound stay on the python engine: the kernels
-#: add lengths and ``m`` to starts in uint64 and subtract starts in
-#: int64, which needs ``2m < 2**63`` of headroom.
+#: add lengths and ``m`` to starts, and subtract starts in int64, which
+#: needs ``2m < 2**63`` of headroom. Below it, reduced draws are uint32
+#: when their bound is at most ``2**32`` and arc starts and ends are
+#: uint32 when ``2m`` is (see :func:`_dtype_below`); the rest is uint64.
 _MAX_UNIVERSE = 1 << 61
 
 #: Target array elements per internal trial chunk (bounds peak memory;
 #: invisible in the results because trials are keyed individually).
-_CHUNK_ELEMENTS = 1 << 22
+#: A chunk's raw draws then take 8 MB, narrowed ones 4 MB. Smaller
+#: targets split the 400-trial Cluster* estimate into chunks that each
+#: pay the exact path's per-round overhead, and run it slower.
+_CHUNK_ELEMENTS = 1 << 20
 
 #: Pair tests per block of rows in Cluster*'s exact path: the pair
 #: arrays then stay in cache, which is faster than one pass per round.
@@ -122,13 +136,38 @@ def _mix64(x):
     """Vectorized SplitMix64 output step (wraps mod 2**64, like uint64).
 
     Bit-identical to :func:`repro.simulation.seeds._splitmix64` on every
-    element; operates on uint64 *arrays* only (NumPy warns on scalar
-    overflow but wraps arrays silently).
+    element. Overwrites ``x``, a uint64 *array* the caller owns (NumPy
+    warns on scalar overflow but wraps arrays silently), and returns it.
     """
-    x = x + _GAMMA
-    x = (x ^ (x >> _S30)) * _MIX1
-    x = (x ^ (x >> _S27)) * _MIX2
-    return x ^ (x >> _S31)
+    x += _GAMMA
+    shifted = x >> _S30
+    x ^= shifted
+    x *= _MIX1
+    _np.right_shift(x, _S27, out=shifted)
+    x ^= shifted
+    x *= _MIX2
+    _np.right_shift(x, _S31, out=shifted)
+    x ^= shifted
+    return x
+
+
+def _dtype_below(limit: int):
+    """uint32 if every value below ``limit`` fits in it, else uint64."""
+    return _np.uint32 if limit <= 1 << 32 else _np.uint64
+
+
+def _reduce(values, bound: int):
+    """``values mod bound`` as a new :func:`_dtype_below` ``(bound)`` array.
+
+    A power-of-two ``bound`` is a mask, applied after narrowing (which
+    keeps the low bits the mask reads); any other takes a uint64 modulo.
+    """
+    dtype = _dtype_below(bound)
+    if bound & (bound - 1):
+        return (values % _np.uint64(bound)).astype(dtype, copy=False)
+    reduced = values.astype(dtype)
+    reduced &= dtype(bound - 1)
+    return reduced
 
 
 def trial_keys(seed: int, trial_indices) -> "object":
@@ -161,19 +200,22 @@ class _Streams:
     def peek(self, offsets, rows=None):
         """Raw values ``offsets`` draws past each row's position, unconsumed.
 
-        ``offsets`` is uint64 and broadcasts against (rows, 1).
+        ``offsets`` is uint64 and broadcasts against (rows, 1). The
+        row's base ``key + pos·γ`` and each column's step
+        ``(offset + 1)·γ`` meet in one full-size sum, which equals
+        ``key + (pos + offset + 1)·γ`` mod 2**64.
         """
         keys = self.keys if rows is None else self.keys[rows]
         pos = self.pos if rows is None else self.pos[rows]
         return _mix64(
-            keys[:, None] + (pos[:, None] + offsets + _np.uint64(1)) * _GAMMA
+            (keys + pos * _GAMMA)[:, None] + (offsets + _np.uint64(1)) * _GAMMA
         )
 
     def draw(self, cols: int, rows=None):
         """Next ``cols`` raw 64-bit values for every row (or ``rows``)."""
         values = self.peek(_np.arange(cols, dtype=_np.uint64), rows)
         if rows is None:
-            self.pos = self.pos + _np.uint64(cols)
+            self.pos += _np.uint64(cols)
         else:
             self.pos[rows] += _np.uint64(cols)
         return values
@@ -183,7 +225,7 @@ class _Streams:
 
         Values at or above :func:`_modulo_limit` are redrawn (per
         element), so the modulo at the end carries no bias; acceptance
-        is ≥ 1/2 per draw.
+        is ≥ 1/2 per draw. The result is ``_dtype_below(bound)``.
         """
         values = self.draw(cols, rows)
         limit = _modulo_limit(bound)
@@ -200,7 +242,7 @@ class _Streams:
                 )
             else:  # pragma: no cover - P(reach) <= 2**-512 per element
                 raise GameError("uniform rejection sampling did not converge")
-        return values % _np.uint64(bound)
+        return _reduce(values, bound)
 
     def distinct_uniform(self, bound: int, cols: int):
         """Uniformly random *duplicate-free* rows of ``cols`` draws.
@@ -209,13 +251,14 @@ class _Streams:
         result is conditioned on all-distinct — exactly the law of
         sequential sampling without replacement (what the python
         generators implement with per-draw rejection against a set).
+        Each row comes back sorted.
         """
         values = self.uniform(bound, cols)
         if cols <= 1:
             return values
         for _ in range(_MAX_REJECT_ROUNDS):
-            ordered = _np.sort(values, axis=1)
-            dup = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            values.sort(axis=1)
+            dup = (values[:, 1:] == values[:, :-1]).any(axis=1)
             dup_rows = _np.nonzero(dup)[0]
             if dup_rows.size == 0:
                 return values
@@ -235,21 +278,21 @@ class _Streams:
 def _subsets_collisions(universe: int, sizes, streams: "_Streams"):
     """Random / Bins(k): duplicate detection across per-instance subsets."""
     blocks = [streams.distinct_uniform(universe, size) for size in sizes]
-    ids = blocks[0] if len(blocks) == 1 else _np.concatenate(blocks, axis=1)
-    ordered = _np.sort(ids, axis=1)
-    if ordered.shape[1] < 2:
-        return _np.zeros(ordered.shape[0], dtype=bool)
+    if len(blocks) == 1:  # one sorted duplicate-free block: no collision
+        return _np.zeros(len(streams.keys), dtype=bool)
+    ids = _np.concatenate(blocks, axis=1)
+    ids.sort(axis=1)
     # Within-instance duplicates were rejected away, so any duplicate
     # in the concatenated row is a cross-instance collision.
-    return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    return (ids[:, 1:] == ids[:, :-1]).any(axis=1)
 
 
 def _circular_arcs_disjoint(m: int, starts, lengths):
     """Row-wise: are the circular arcs ``[start, start+length)`` disjoint?
 
-    ``starts`` is (trials, arcs) uint64 in ``[0, m)``, or (trials,
+    ``starts`` is (trials, arcs) uint in ``[0, m)``, or (trials,
     groups, arcs) to test each group of a row on its own (a row passes
-    iff every group does); ``lengths`` (uint64, each in ``[1, m]``)
+    iff every group does); ``lengths`` (uint, each in ``[1, m]``)
     broadcasts against it. Sort the starts and, separately, the
     unreduced ends ``start + length``: the arcs are pairwise disjoint
     iff every sorted end is at or before the next sorted start and the
@@ -257,13 +300,17 @@ def _circular_arcs_disjoint(m: int, starts, lengths):
     end in the order they start, so the two sorts pair each arc with
     itself; conversely, if the ``i`` smallest ends all come at or
     before the ``(i+1)``-th start, they are the ends of the ``i``
-    earliest arcs, which therefore do not reach it.)
+    earliest arcs, which therefore do not reach it.) Ends reach
+    ``2m − 1``, so the test runs in ``_dtype_below(2 * m)``, on copies.
     """
-    first = _np.sort(starts, axis=-1)
-    ends = _np.sort(starts + lengths, axis=-1)
+    dtype = _dtype_below(2 * m)
+    first = starts.astype(dtype)
+    ends = first + lengths.astype(dtype)
+    first.sort(axis=-1)
+    ends.sort(axis=-1)
     rows = len(starts)
     ok = (ends[..., :-1] <= first[..., 1:]).reshape(rows, -1).all(axis=1)
-    wrap = ends[..., -1] <= first[..., 0] + _np.uint64(m)
+    wrap = ends[..., -1] <= first[..., 0] + dtype(m)
     return ok & wrap.reshape(rows, -1).all(axis=1)
 
 
@@ -284,8 +331,8 @@ def _bins_star_collisions(m: int, demands, streams: "_Streams"):
             break  # chunks only get emptier as the threshold doubles
         bins_here = 1 << (num_chunks - 1 - chunk)
         picks = streams.uniform(bins_here, reaching)
-        ordered = _np.sort(picks, axis=1)
-        collided |= (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        picks.sort(axis=1)
+        collided |= (picks[:, 1:] == picks[:, :-1]).any(axis=1)
     return collided
 
 
@@ -361,7 +408,7 @@ def _cluster_star_collisions(m: int, demands, streams: "_Streams"):
     layout = _cluster_star_layout(tuple(demands))
     runs = len(layout.intended)
     values = streams.draw(runs)
-    starts = values % _np.uint64(m)
+    starts = _reduce(values, m)
     limit = _modulo_limit(m)
     if limit is None:
         accepted = _np.ones(len(starts), dtype=bool)
@@ -401,7 +448,6 @@ def _place_runs_in_order(m: int, streams: "_Streams", rows, values, layout):
     runs = len(layout.intended)
     columns = _np.arange(runs)
     limit = _modulo_limit(m)
-    m_u64 = _np.uint64(m)
     first, second = layout.first, layout.second
     # Runs a < b of one instance clash iff d = start_b - start_a, give
     # or take m, lies strictly between -len_b and len_a. With d in
@@ -425,7 +471,7 @@ def _place_runs_in_order(m: int, streams: "_Streams", rows, values, layout):
     streak = _np.zeros_like(placed)
     while True:
         pending = columns >= placed[:, None]
-        fresh = _np.where(pending, values % m_u64, starts)
+        fresh = _np.where(pending, _reduce(values, m), starts)
         signed = fresh.view(_np.int64)
         first_clash = _np.full(len(signed), runs)
         for lo in range(0, len(signed) if len(first) else 0, block):

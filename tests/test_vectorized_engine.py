@@ -105,6 +105,34 @@ def test_uniform_in_range_and_roughly_uniform():
         assert abs(count - expected) < 5 * math.sqrt(expected)
 
 
+@pytest.mark.parametrize(
+    "bound",
+    [
+        1 << 32,  # the widest bound kept in uint32: a mask, no rejection
+        (1 << 32) + 1,  # the narrowest in uint64: a modulo
+        3 << 59,  # a modulo that rejects one draw in 16
+    ],
+)
+def test_uniform_matches_modulo_reference(bound):
+    """Same values and stream positions as raw draws reduced with a
+    Python-int modulo after per-element rejection, in the narrowest
+    dtype that holds ``bound - 1``."""
+    keys = trial_keys(13, numpy.arange(300))
+    kernel, reference = _Streams(keys), _Streams(keys)
+    values = kernel.uniform(bound, 6)
+    limit = (1 << 64) // bound * bound
+    expected = [[int(v) for v in row] for row in reference.draw(6)]
+    for row, raw in enumerate(expected):
+        while any(v >= limit for v in raw):
+            fresh = reference.draw(6, numpy.array([row]))[0]
+            raw[:] = [int(f) if v >= limit else v for v, f in zip(raw, fresh)]
+    assert values.dtype == (
+        numpy.uint32 if bound <= 1 << 32 else numpy.uint64
+    )
+    assert values.tolist() == [[v % bound for v in raw] for raw in expected]
+    assert (kernel.pos == reference.pos).all()
+
+
 def test_distinct_uniform_has_no_row_duplicates():
     # size² <= 4·universe — the densest regime the planner admits.
     streams = _Streams(trial_keys(11, numpy.arange(500)))
@@ -189,19 +217,39 @@ def test_cluster_star_engines_statistically_agree():
 #: (spec, m, demands, successes) at seed=123, trials=2000. These pin
 #: the engine's exact draw sequence: any change to the kernels' stream
 #: consumption is a new RNG universe and must be called out loudly.
+#: The first five reduce draws with a mask in uint32; the next four
+#: sample universes that are not powers of two (a modulo with
+#: rejection), and the last three work in uint64 (one with a mask).
 REGRESSION_GOLDENS = [
     ("random", 65536, (64, 64, 64, 64), 642),
     ("cluster", 8192, (32,) * 8, 353),
     ("bins:16", 65536, (64,) * 8, 195),
     ("bins_star", 4096, (256, 128, 4, 2), 1492),
     ("cluster_star", 16384, (100, 80, 60, 40), 550),
+    ("random", 65521, (64, 64, 64, 64), 640),
+    ("cluster", 8191, (32,) * 8, 393),
+    ("bins:3", 65536, (64,) * 8, 945),  # 21,845 bins
+    ("cluster_star", 16381, (100, 80, 60, 40), 540),
+    ("cluster", 1 << 33, (1 << 28,) * 4, 668),
+    ("cluster", (3 << 32) + 1, (1 << 28,) * 4, 457),
+    ("random", (1 << 32) + 15, (1024,) * 16, 40),
 ]
+
+
+def _golden_ids(rows):
+    """The first row of each spec is named by the spec, later ones by
+    spec and universe."""
+    seen, ids = set(), []
+    for spec, m, _demands, _successes in rows:
+        ids.append(f"{spec}-m{m}" if spec in seen else spec)
+        seen.add(spec)
+    return ids
 
 
 @pytest.mark.parametrize(
     "spec,m,demands,successes",
     REGRESSION_GOLDENS,
-    ids=[spec for spec, _m, _d, _s in REGRESSION_GOLDENS],
+    ids=_golden_ids(REGRESSION_GOLDENS),
 )
 def test_numpy_engine_fixed_seed_regression(spec, m, demands, successes):
     estimate = estimate_profile_collision(
@@ -228,6 +276,8 @@ def test_numpy_engine_bit_identical_across_workers():
 def test_numpy_engine_independent_of_internal_chunking(monkeypatch):
     plans = [
         plan_profile("random", 65536, DemandProfile((64, 64, 64))),
+        plan_profile("cluster", 8192, DemandProfile((32,) * 8)),
+        plan_profile("bins_star", 4096, DemandProfile((256, 128, 4, 2))),
         # About one row in eight takes Cluster*'s exact path, so small
         # chunks run it in several chunks.
         plan_profile("cluster_star", 16384, DemandProfile((100, 80, 60, 40))),
@@ -371,6 +421,35 @@ def test_sorted_arcs_test_matches_argsort_reference():
         )
         lengths = numpy.array(
             [rng.randint(1, m) for _ in range(arcs)], dtype=numpy.uint64
+        )
+        assert (
+            _circular_arcs_disjoint(m, starts, lengths)
+            == _reference_arcs_disjoint(m, starts, lengths)
+        ).all(), (m, starts, lengths)
+
+
+@pytest.mark.parametrize("m", [1 << 31, (1 << 31) + 1])
+def test_sorted_arcs_test_at_the_uint32_edge(m):
+    """Arc ends reach 2m − 1: at m = 2^31 they still fit uint32, one
+    more and they do not. Starts and lengths at both ends of their
+    ranges make arcs that end at 2m − 1 and arcs that wrap."""
+    assert vectorized._dtype_below(2 * m) == (
+        numpy.uint32 if m <= 1 << 31 else numpy.uint64
+    )
+    rng = random.Random(m)
+    edge_starts = [0, 1, m // 2, m - 2, m - 1]
+    edge_lengths = [1, 2, m // 2, m - 1, m]
+    for _ in range(200):
+        lengths = numpy.array(
+            [rng.choice(edge_lengths + [rng.randint(1, m)]) for _ in range(3)],
+            dtype=numpy.uint64,
+        )
+        starts = numpy.array(
+            [
+                [rng.choice(edge_starts + [rng.randrange(m)]) for _ in range(3)]
+                for _ in range(20)
+            ],
+            dtype=numpy.uint64,
         )
         assert (
             _circular_arcs_disjoint(m, starts, lengths)
