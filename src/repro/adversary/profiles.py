@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 from repro.errors import ProfileError
 
@@ -78,10 +78,6 @@ class DemandProfile:
     def is_trivial(self) -> bool:
         """Trivial profiles (n < 2) have collision probability zero."""
         return self.n < 2
-
-    def sorted_desc(self) -> "DemandProfile":
-        """The same multiset of demands in non-increasing order."""
-        return DemandProfile(tuple(sorted(self.demands, reverse=True)))
 
     def rounded(self) -> "DemandProfile":
         """The rounded profile ``D⁻`` of Lemma 19.
@@ -229,16 +225,3 @@ class ProfileFamily:
         if self.kind == "d1":
             return profile.n == self.n and profile.total == self.bound
         return 2 <= profile.n <= self.n and profile.max_demand <= self.bound
-
-    def admits_continuation(self, partial: Sequence[int]) -> bool:
-        """Can a game with current per-instance counts ``partial`` still
-        end inside the family? Used to validate adaptive adversaries.
-        """
-        n_used = len(partial)
-        total = sum(partial)
-        if self.kind == "d1":
-            if n_used > self.n or total > self.bound:
-                return False
-            # Remaining instances must each get >= 1 request.
-            return total + (self.n - n_used) <= self.bound
-        return n_used <= self.n and all(x <= self.bound for x in partial)

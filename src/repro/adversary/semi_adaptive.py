@@ -82,11 +82,12 @@ class DemandSequence:
 class FollowerAdversary(Adversary):
     """``fol(S)``: follow ``S`` until a collision, then stop early.
 
-    ``min_stop_requests`` models the "reach a profile in D" constraint:
-    after a collision, the follower keeps following ``S`` only while the
-    current profile is not yet stoppable (e.g. for ``D1(n, d)`` it must
-    first activate all ``n`` instances), then halts. With a
-    downward-closed family it stops immediately (the default).
+    ``min_instances_to_stop`` models the "reach a profile in D"
+    constraint: with ``stop_immediately_on_collision=False``, after a
+    collision the follower keeps following ``S`` until that many
+    instances are active (e.g. for ``D1(n, d)`` it must first activate
+    all ``n`` instances), then halts. With a downward-closed family it
+    stops at the collision (the default).
     """
 
     def __init__(

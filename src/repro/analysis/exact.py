@@ -36,10 +36,12 @@ from repro.analysis.combinatorics import (
     disjoint_subsets_probability_estimate,
 )
 from repro.core.bins_star import chunk_count
+from repro.core.registry import parse_spec
 from repro.errors import ConfigurationError
 
 
-def _validate(m: int, profile: DemandProfile) -> None:
+def validate_profile(m: int, profile: DemandProfile) -> None:
+    """Reject ``m < 1`` and a demand no instance of ``[m]`` can serve."""
     if m < 1:
         raise ConfigurationError(f"m must be >= 1, got {m}")
     if profile.max_demand > m:
@@ -80,7 +82,7 @@ def random_collision_probability(
     estimate accurate to ~float precision is used instead (pass
     ``method="exact"`` to force the big-int path).
     """
-    _validate(m, profile)
+    validate_profile(m, profile)
     return 1 - _subset_disjoint_probability_auto(
         m, profile.demands, method
     )
@@ -88,7 +90,7 @@ def random_collision_probability(
 
 def cluster_collision_probability(m: int, profile: DemandProfile) -> Fraction:
     """Exact ``p_Cluster(D)`` via the disjoint-arcs placement count."""
-    _validate(m, profile)
+    validate_profile(m, profile)
     return 1 - circular_disjoint_arcs_probability(m, profile.demands)
 
 
@@ -110,7 +112,7 @@ def bins_collision_probability(
     the deterministic leftover tail and two such instances collide with
     certainty).
     """
-    _validate(m, profile)
+    validate_profile(m, profile)
     if not 1 <= k <= m:
         raise ConfigurationError(f"k must be in [1, m], got {k}")
     num_bins = m // k
@@ -142,7 +144,7 @@ def bins_star_collision_probability(
     no-collision events multiply. Demands beyond the ``2^C − 1``
     schedule are rejected (the paper makes no claim there).
     """
-    _validate(m, profile)
+    validate_profile(m, profile)
     if num_chunks is None:
         num_chunks = chunk_count(m)
     elif num_chunks < 1 or num_chunks * (1 << (num_chunks - 1)) > m:
@@ -168,21 +170,19 @@ def bins_star_collision_probability(
 
 
 def exact_collision_probability(
-    spec: str, m: int, profile: DemandProfile, k: Optional[int] = None
+    spec: str, m: int, profile: DemandProfile
 ) -> Fraction:
     """Dispatch on an algorithm spec (``"random"``, ``"bins:8"``, ...).
 
     ``cluster_star`` and ``skew`` have no closed form here and raise.
     """
-    parts = spec.strip().lower().split(":")
-    name = parts[0].replace("*", "_star")
+    name, args = parse_spec(spec)
     if name == "random":
         return random_collision_probability(m, profile)
     if name == "cluster":
         return cluster_collision_probability(m, profile)
     if name == "bins":
-        bin_size = k if k is not None else int(parts[1])
-        return bins_collision_probability(m, bin_size, profile)
+        return bins_collision_probability(m, args[0], profile)
     if name == "bins_star":
         return bins_star_collision_probability(m, profile)
     raise ConfigurationError(

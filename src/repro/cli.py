@@ -33,7 +33,7 @@ from typing import List, Optional
 
 from repro.adversary.attacks import ClosestPairAttack, GreedyGapAttack
 from repro.adversary.profiles import DemandProfile
-from repro.analysis.exact import exact_collision_probability
+from repro.analysis.exact import exact_collision_probability, validate_profile
 from repro.core.registry import available_algorithms, make_generator
 from repro.errors import ReproError
 from repro.experiments import (
@@ -63,7 +63,12 @@ def _plan_from_args(args: argparse.Namespace) -> SimulationPlan:
 
 
 def _parse_profile(text: str) -> DemandProfile:
-    return DemandProfile(tuple(int(x) for x in text.split(",")))
+    try:
+        return DemandProfile(tuple(int(x) for x in text.split(",")))
+    except ValueError:
+        raise ReproError(
+            f"a profile is comma-separated integers, got {text!r}"
+        )
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -121,6 +126,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         label = f"{args.attack} attack (n={n}, d={d})"
     else:
         profile = _parse_profile(args.profile)
+        # Past m an instance runs dry and ends every game early.
+        validate_profile(args.m, profile)
         estimate = estimate_profile_collision(
             factory,
             args.m,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.errors import ConfigurationError, IDSpaceExhaustedError
 
@@ -52,15 +52,6 @@ class IDGenerator(abc.ABC):
     def count(self) -> int:
         """Number of IDs produced so far by this instance."""
         return self._count
-
-    @property
-    def remaining_capacity(self) -> int:
-        """Upper bound on how many more IDs this instance can produce.
-
-        Default: the full universe minus what was already produced.
-        Subclasses with structural limits (``Bins*``) override.
-        """
-        return self.m - self._count
 
     def next_id(self) -> int:
         """Produce the next ID of this instance's random permutation."""
@@ -105,14 +96,6 @@ class IDGenerator(abc.ABC):
             except IDSpaceExhaustedError:
                 break
         return out
-
-    def iter_ids(self) -> Iterator[int]:
-        """Iterate over IDs until the instance is exhausted."""
-        while True:
-            try:
-                yield self.next_id()
-            except IDSpaceExhaustedError:
-                return
 
     @abc.abstractmethod
     def _generate(self) -> int:

@@ -47,15 +47,6 @@ class BinsGenerator(IDGenerator):
         """Number of full bins, ``⌊m/k⌋``."""
         return self._num_bins
 
-    def bins_opened(self) -> int:
-        """How many bins this instance has started emitting from."""
-        if self._bin_tail is not None:
-            opened_dense = self._num_bins - len(self._bin_tail)
-            if self._current_bin is not None and self._offset > 0:
-                opened_dense += 0  # current bin already excluded from tail
-            return opened_dense
-        return len(self._used_bins)
-
     def _pick_fresh_bin(self) -> int:
         """Choose an unused bin uniformly at random."""
         if self._bin_tail is not None:

@@ -95,13 +95,6 @@ class BinsStarGenerator(IDGenerator):
         """IDs producible under the paper's schedule: ``2^C − 1``."""
         return (1 << self.num_chunks) - 1
 
-    @property
-    def remaining_capacity(self) -> int:
-        """IDs this instance can still mint before its schedule is exhausted."""
-        if self.fallback_random:
-            return self.m - self._count
-        return max(self.scheduled_capacity - self._count, 0)
-
     def bins_in_chunk(self, chunk_index: int) -> int:
         """Number of bins in 0-based chunk ``chunk_index``: ``2^(C−1−i)``."""
         if not 0 <= chunk_index < self.num_chunks:

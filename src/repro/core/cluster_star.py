@@ -76,11 +76,6 @@ class ClusterStarGenerator(IDGenerator):
         """The ``(start, length)`` runs opened so far, in order."""
         return self._placed.arcs
 
-    @property
-    def open_run_remaining(self) -> int:
-        """IDs not yet emitted from the currently open run."""
-        return self._run_remaining
-
     def _open_run(self) -> None:
         """Place the next run; shrink it if the ideal length cannot fit."""
         length = self._next_run_length

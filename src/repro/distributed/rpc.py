@@ -118,11 +118,10 @@ def _execute_op(target: Any, op: str, key: bytes, value: bytes) -> bytes:
 class _Connection:
     """Per-connection server state: the attached shard target."""
 
-    __slots__ = ("target", "shard")
+    __slots__ = ("target",)
 
     def __init__(self) -> None:
         self.target: Any = None
-        self.shard: Optional[int] = None
 
 
 class RPCServer:
@@ -257,7 +256,6 @@ class RPCServer:
                     return STATUS_PROTOCOL, b"connection already attached"
                 shard, shard_seed = decode_attach(body)
                 conn.target = self._target_factory(shard, shard_seed)
-                conn.shard = shard
                 return STATUS_OK, b""
             if conn.target is None:
                 return STATUS_PROTOCOL, b"op before ATTACH"
@@ -526,11 +524,7 @@ class NetworkTarget:
         shard_seed: int,
         *,
         timeout: Optional[float] = DEFAULT_OP_TIMEOUT,
-        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        connect_retries: int = DEFAULT_CONNECT_RETRIES,
-        connect_backoff: float = DEFAULT_CONNECT_BACKOFF,
     ) -> None:
-        self.shard = shard
         self._loop = _LoopThread(f"uuidp-client-shard{shard}")
         # Everything connect/attach can raise: library errors
         # (RPCConnectionError and friends), socket failures, and a loop
@@ -538,14 +532,7 @@ class NetworkTarget:
         # caller see the original failure.
         try:
             self._client = self._loop.run(
-                RPCClient.connect(
-                    host,
-                    port,
-                    timeout=timeout,
-                    max_in_flight=max_in_flight,
-                    retries=connect_retries,
-                    backoff=connect_backoff,
-                )
+                RPCClient.connect(host, port, timeout=timeout)
             )
         except (ReproError, OSError, RuntimeError):
             self._loop.stop()
@@ -592,9 +579,6 @@ def network_target_factory(
     port: int,
     *,
     timeout: Optional[float] = DEFAULT_OP_TIMEOUT,
-    max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-    connect_retries: int = DEFAULT_CONNECT_RETRIES,
-    connect_backoff: float = DEFAULT_CONNECT_BACKOFF,
 ):
     """A driver ``TargetFactory`` whose shards dial a remote server.
 
@@ -606,16 +590,7 @@ def network_target_factory(
     """
 
     def factory(shard: int, shard_seed: int) -> NetworkTarget:
-        return NetworkTarget(
-            host,
-            port,
-            shard,
-            shard_seed,
-            timeout=timeout,
-            max_in_flight=max_in_flight,
-            connect_retries=connect_retries,
-            connect_backoff=connect_backoff,
-        )
+        return NetworkTarget(host, port, shard, shard_seed, timeout=timeout)
 
     return factory
 

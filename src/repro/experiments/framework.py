@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.simulation.plan import SimulationPlan
 
@@ -190,20 +190,3 @@ def _format_cell(value: Any) -> str:
     if isinstance(value, int) and abs(value) >= 1_000_000_000:
         return f"2^{value.bit_length() - 1}~" if value > 0 else str(value)
     return str(value)
-
-
-def geometric_midpoint_crossover(
-    xs: Sequence[float], a_values: Sequence[float], b_values: Sequence[float]
-) -> Optional[float]:
-    """First x where series ``a`` overtakes series ``b`` (or None).
-
-    Returns the geometric midpoint of the bracketing xs — enough
-    precision for "where does the crossover fall" shape checks.
-    """
-    previous_sign = None
-    for x, a, b in zip(xs, a_values, b_values):
-        sign = a > b
-        if previous_sign is not None and sign != previous_sign[1]:
-            return math.sqrt(previous_sign[0] * x)
-        previous_sign = (x, sign)
-    return None

@@ -1,38 +1,5 @@
-"""ID encodings and structured (session, counter) layouts."""
+"""Fixed-width renderings of integer IDs (hex and UUID-shaped)."""
 
-from repro.idspace.cachekey import (
-    CACHE_KEY_BYTES,
-    derive_cache_key,
-    keys_alias,
-    split_cache_key,
-)
-from repro.idspace.encoding import (
-    bytes_width_for,
-    id_from_base32,
-    id_from_bytes,
-    id_from_hex,
-    id_from_uuid_string,
-    id_to_base32,
-    id_to_bytes,
-    id_to_hex,
-    id_to_uuid_string,
-)
-from repro.idspace.structured import SessionIDGenerator, StructuredIDLayout
+from repro.idspace.encoding import id_to_bytes, id_to_hex, id_to_uuid_string
 
-__all__ = [
-    "CACHE_KEY_BYTES",
-    "derive_cache_key",
-    "split_cache_key",
-    "keys_alias",
-    "bytes_width_for",
-    "id_to_bytes",
-    "id_from_bytes",
-    "id_to_hex",
-    "id_from_hex",
-    "id_to_uuid_string",
-    "id_from_uuid_string",
-    "id_to_base32",
-    "id_from_base32",
-    "StructuredIDLayout",
-    "SessionIDGenerator",
-]
+__all__ = ["id_to_bytes", "id_to_hex", "id_to_uuid_string"]

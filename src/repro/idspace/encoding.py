@@ -1,53 +1,27 @@
-"""Fixed-width encodings of ``[m]`` IDs.
+"""Fixed-width renderings of ``[m]`` IDs.
 
 The paper's IDs are abstract integers; real systems render them as
-128-bit hex blobs, RFC-4122-shaped strings, or compact base32. These
-helpers convert between the integer world of the analysis and the
-byte/string world of the substrate, losslessly, for any ``m`` that fits
-the chosen width.
+fixed-width hex blobs or RFC-4122-shaped strings. ``uuidp generate
+--hex`` prints :func:`id_to_hex`, and the quickstart example prints
+:func:`id_to_uuid_string`.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
 
-_BASE32_ALPHABET = "0123456789abcdefghjkmnpqrstvwxyz"  # Crockford
 
-
-def bytes_width_for(m: int) -> int:
-    """Minimum whole bytes to encode any ID in ``range(m)``."""
-    if m < 1:
-        raise ConfigurationError("m must be >= 1")
-    return max(1, ((m - 1).bit_length() + 7) // 8)
-
-
-def id_to_bytes(value: int, m: int, width: int = 0) -> bytes:
-    """Big-endian fixed-width byte encoding of an ID."""
-    _check_id(value, m)
-    if width == 0:
-        width = bytes_width_for(m)
-    if value >= 1 << (8 * width):
-        raise ConfigurationError(
-            f"id {value} does not fit in {width} bytes"
-        )
-    return value.to_bytes(width, "big")
-
-
-def id_from_bytes(payload: bytes, m: int) -> int:
-    """Inverse of :func:`id_to_bytes` (validates range)."""
-    value = int.from_bytes(payload, "big")
-    _check_id(value, m)
-    return value
+def id_to_bytes(value: int, m: int) -> bytes:
+    """Big-endian bytes of an ID, in the fewest whole bytes any ID of
+    ``range(m)`` fits."""
+    if not 0 <= value < m:
+        raise ConfigurationError(f"id {value} outside universe [0, {m})")
+    return value.to_bytes(max(1, ((m - 1).bit_length() + 7) // 8), "big")
 
 
 def id_to_hex(value: int, m: int) -> str:
     """Fixed-width lowercase hex (the RocksDB cache-key style)."""
     return id_to_bytes(value, m).hex()
-
-
-def id_from_hex(text: str, m: int) -> int:
-    """Inverse of :func:`id_to_hex`."""
-    return id_from_bytes(bytes.fromhex(text), m)
 
 
 def id_to_uuid_string(value: int) -> str:
@@ -60,40 +34,3 @@ def id_to_uuid_string(value: int) -> str:
         raise ConfigurationError("uuid rendering needs a 128-bit value")
     raw = f"{value:032x}"
     return f"{raw[:8]}-{raw[8:12]}-{raw[12:16]}-{raw[16:20]}-{raw[20:]}"
-
-
-def id_from_uuid_string(text: str) -> int:
-    """Inverse of :func:`id_to_uuid_string`."""
-    cleaned = text.replace("-", "")
-    if len(cleaned) != 32:
-        raise ConfigurationError(f"not a 128-bit uuid string: {text!r}")
-    return int(cleaned, 16)
-
-
-def id_to_base32(value: int, m: int) -> str:
-    """Compact Crockford-base32 rendering (fixed width for ``m``)."""
-    _check_id(value, m)
-    width = max(1, -(-((m - 1).bit_length()) // 5))
-    chars = []
-    remaining = value
-    for _ in range(width):
-        chars.append(_BASE32_ALPHABET[remaining & 31])
-        remaining >>= 5
-    return "".join(reversed(chars))
-
-
-def id_from_base32(text: str, m: int) -> int:
-    """Inverse of :func:`id_to_base32`."""
-    value = 0
-    for char in text.lower():
-        index = _BASE32_ALPHABET.find(char)
-        if index < 0:
-            raise ConfigurationError(f"invalid base32 character {char!r}")
-        value = (value << 5) | index
-    _check_id(value, m)
-    return value
-
-
-def _check_id(value: int, m: int) -> None:
-    if not 0 <= value < m:
-        raise ConfigurationError(f"id {value} outside universe [0, {m})")

@@ -27,7 +27,6 @@ SST reopen restores the filter without re-hashing every key.
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Iterable, Tuple
 
 from repro.errors import ConfigurationError, KVStoreError
@@ -181,10 +180,3 @@ class BloomFilter:
         bloom._bits = bytearray(bits)
         bloom._count = count
         return bloom
-
-    def expected_false_positive_rate(self) -> float:
-        """Theoretical FP rate for the current load."""
-        if self._count == 0:
-            return 0.0
-        exponent = -self.num_probes * self._count / self.num_bits
-        return (1.0 - math.exp(exponent)) ** self.num_probes

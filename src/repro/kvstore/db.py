@@ -539,10 +539,6 @@ class MiniRocks:
 
     # -- introspection ---------------------------------------------------------
 
-    def live_file_ids(self) -> List[int]:
-        """IDs of all live SSTs."""
-        return [sst.file_id for _, sst in self.manifest.live_files()]
-
     def assigned_file_ids(self) -> List[int]:
         """Every file ID this instance ever assigned (flushes+compactions)."""
         return list(self.manifest.assigned_ids)

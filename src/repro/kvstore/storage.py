@@ -34,7 +34,7 @@ name)``, so a crash matrix run is bit-reproducible under a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, KVStoreError, SimulatedCrashError
 from repro.simulation.seeds import rng_for
@@ -245,12 +245,6 @@ class SimulatedStorage:
         self._check_live()
         handle = self._require(name)
         return len(handle.data) - handle.synced
-
-    def total_unsynced(self, names: Optional[Iterable[str]] = None) -> int:
-        """Crash-vulnerable bytes summed over ``names`` (default: all files)."""
-        self._check_live()
-        targets = self.list() if names is None else names
-        return sum(self.unsynced_bytes(name) for name in targets)
 
     def _require(self, name: str) -> _File:
         handle = self._files.get(name)

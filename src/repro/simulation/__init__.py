@@ -48,13 +48,12 @@ __getattr__ = lazy_getattr(
         "repro.simulation.engines": ("run_plan",),
         "repro.simulation.game": ("Game", "GameResult", "play_profile"),
         "repro.simulation.montecarlo": (
-            "Estimate",
             "estimate_collision_probability",
             "estimate_profile_collision",
-            "wilson_interval",
         ),
         "repro.simulation.plan": ("ENGINES", "SimulationPlan"),
         "repro.simulation.seeds": ("derive_seed", "rng_for", "seed_stream"),
+        "repro.simulation.stats": ("Estimate", "wilson_interval"),
         "repro.simulation.vectorized": (
             "NUMPY_SEED_LABEL",
             "VectorPlan",

@@ -26,22 +26,14 @@ distribution, different noise).
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.adversary.base import Adversary
 from repro.adversary.profiles import DemandProfile
-from repro.simulation.batch import ObliviousFactory
+from repro.simulation.batch import AdversaryFactory, ObliviousFactory
 from repro.simulation.engines import run_plan
 from repro.simulation.game import InstanceFactory
 from repro.simulation.plan import SimulationPlan
-from repro.simulation.stats import (  # noqa: F401 - re-exports
-    Estimate,
-    _normal_quantile,
-    wilson_interval,
-)
-
-AdversaryFactory = Callable[[random.Random], Adversary]
+from repro.simulation.stats import Estimate
 
 _DEFAULT_PLAN = SimulationPlan()
 

@@ -1,11 +1,8 @@
 """Binomial-proportion statistics shared by every estimation path.
 
-:class:`Estimate` and :func:`wilson_interval` used to live in
-:mod:`repro.simulation.montecarlo`; they moved here so the
-:mod:`repro.simulation.plan` layer (which decides *when to stop
-sampling* from the width of the interval) can use them without a
-circular import. The old import sites keep working — ``montecarlo``
-re-exports both names.
+:func:`~repro.simulation.engines.run_plan` builds each :class:`Estimate`
+with :func:`wilson_interval`, and stops an adaptive estimate once that
+interval is narrow enough.
 """
 
 from __future__ import annotations

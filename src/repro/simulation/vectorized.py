@@ -74,6 +74,7 @@ except ImportError:  # pragma: no cover - exercised on numpy-free hosts
 
 from repro.adversary.profiles import DemandProfile
 from repro.core.bins_star import chunk_count
+from repro.core.registry import parse_spec
 from repro.errors import ConfigurationError, GameError
 from repro.simulation.seeds import _MASK64, _splitmix64
 
@@ -616,33 +617,30 @@ def plan_profile(
 ) -> Optional[VectorPlan]:
     """Build a :class:`VectorPlan` for ``(spec, m, profile)``, or ``None``.
 
-    ``None`` means "use the python engine": NumPy missing, the spec is
-    outside the five vectorized families, the universe exceeds uint64
-    headroom, or the profile sits in a regime the kernels do not model
-    (overflowing bins, demands beyond the Bins* schedule, rejection
-    densities past the gates). The decision is deterministic in the
-    arguments, so parent and worker processes always agree.
+    The spec is read by :func:`~repro.core.registry.parse_spec`, so a
+    malformed one raises :class:`~repro.errors.ConfigurationError`.
+    ``None`` means "use the python engine": NumPy missing, ``skew``
+    (no kernel), a universe past uint64 headroom, or a profile in a
+    regime the kernels do not model (overflowing bins, demands beyond
+    the Bins* schedule, rejection densities past the gates). The
+    decision is deterministic in the arguments, so parent and worker
+    processes always agree.
     """
+    name, args = parse_spec(spec)
     if _np is None or not 1 <= m <= _MAX_UNIVERSE:
         return None
     demands = tuple(profile.demands)
     if not demands or max(demands) > m:
         return None
-    parts = spec.strip().lower().split(":")
-    name = parts[0].replace("*", "_star")
-    args = parts[1:]
-    if name == "random" and not args:
+    if name == "random":
         # Whole-row rejection needs acceptance ~exp(-d²/2m) per row.
         if any(d * d > 4 * m for d in demands):
             return None
         return VectorPlan(
             "subsets", spec, m, demands, universe=m, sizes=demands
         )
-    if name == "bins" and len(args) == 1:
-        try:
-            k = int(args[0])
-        except ValueError:
-            return None
+    if name == "bins":
+        (k,) = args
         if not 1 <= k <= m:
             return None
         num_bins = m // k
@@ -656,19 +654,19 @@ def plan_profile(
         return VectorPlan(
             "subsets", spec, m, demands, universe=num_bins, sizes=sizes
         )
-    if name == "cluster" and not args:
+    if name == "cluster":
         # Total demand beyond m would exhaust instances mid-trial; the
         # game loop owns those semantics.
         if sum(demands) > m:
             return None
         return VectorPlan("cluster", spec, m, demands)
-    if name == "bins_star" and not args:
+    if name == "bins_star":
         if m < 4:
             return None
         if max(demands) > (1 << chunk_count(m)) - 1:
             return None  # beyond the paper's schedule: python fallback
         return VectorPlan("bins_star", spec, m, demands)
-    if name == "cluster_star" and not args:
+    if name == "cluster_star":
         # The paper's own regime (d ≲ m/(2 log m)): placement rejection
         # keeps acceptance >= 1/2 per draw when k·2^k <= m.
         if any(

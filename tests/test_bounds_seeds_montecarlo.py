@@ -21,11 +21,9 @@ from repro.analysis.bounds import (
 )
 from repro.core.cluster import ClusterGenerator
 from repro.errors import ConfigurationError
-from repro.simulation.montecarlo import (
-    estimate_profile_collision,
-    wilson_interval,
-)
+from repro.simulation.montecarlo import estimate_profile_collision
 from repro.simulation.seeds import derive_seed, rng_for, seed_stream
+from repro.simulation.stats import wilson_interval
 
 
 class TestBoundFormulas:

@@ -155,7 +155,7 @@ class TestCompactionCascade:
         # Dropped files' blocks must have left the cache; the cache may
         # hold newer blocks but not more than capacity.
         assert len(db.cache) <= db.cache.capacity
-        live_ids = set(db.live_file_ids())
+        live_ids = {sst.file_id for _, sst in db.manifest.live_files()}
         for file_id, _block in list(db.cache._blocks):
             assert file_id in live_ids
 
@@ -244,7 +244,9 @@ class TestTrivialMoves:
         assert db.manifest.file_count(0) == 0
         moved = [s for s in db.manifest.level(1) if s.file_id == sst.file_id]
         assert [s.fingerprint for s in moved] == [sst.fingerprint]
-        assert db.assigned_file_ids() == db.live_file_ids()
+        assert db.assigned_file_ids() == [
+            sst.file_id for _, sst in db.manifest.live_files()
+        ]
         assert db.get(b"k0001") == b"v1"
         assert db.cache.stats.hits == hits + 1
         assert db.stats.corrupt_block_reads == 0

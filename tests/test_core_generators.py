@@ -69,11 +69,6 @@ def test_take_negative_rejected():
         RandomGenerator(10).take(-1)
 
 
-def test_iter_ids_stops_at_exhaustion():
-    generator = ClusterGenerator(6, random.Random(0))
-    assert sorted(generator.iter_ids()) == list(range(6))
-
-
 # -- Random ---------------------------------------------------------------
 
 
@@ -174,12 +169,6 @@ def test_bins_invalid_k():
         BinsGenerator(10, 11)
 
 
-def test_bins_opened_counter():
-    generator = BinsGenerator(20, 4, random.Random(0))
-    generator.take(9)  # 2 full bins + 1 started
-    assert generator.bins_opened() == 3
-
-
 # -- Cluster* ----------------------------------------------------------------
 
 
@@ -213,12 +202,6 @@ def test_cluster_star_shrinks_final_runs_and_exhausts():
     assert sorted(ids) == list(range(m))
     with pytest.raises(IDSpaceExhaustedError):
         generator.next_id()
-
-
-def test_cluster_star_open_run_remaining():
-    generator = ClusterStarGenerator(1 << 10, random.Random(2))
-    generator.take(2)  # run1 done, run2 has 1 left
-    assert generator.open_run_remaining == 1
 
 
 # -- Bins* ---------------------------------------------------------------------
@@ -272,13 +255,6 @@ def test_bins_star_fallback_random_completes_universe():
 def test_bins_star_rejects_tiny_universe():
     with pytest.raises(ConfigurationError):
         BinsStarGenerator(3, random.Random(0))
-
-
-def test_bins_star_remaining_capacity():
-    generator = BinsStarGenerator(1 << 10, random.Random(1))
-    cap = generator.scheduled_capacity
-    generator.take(5)
-    assert generator.remaining_capacity == cap - 5
 
 
 # -- SkewAware --------------------------------------------------------------

@@ -213,7 +213,20 @@ class TestLeanImports:
         assert proc.stdout.split() == []
 
     @pytest.mark.parametrize(
-        "package", ["repro", "repro.simulation", "repro.distributed"]
+        "package",
+        [
+            "repro",
+            "repro.simulation",
+            "repro.distributed",
+            "repro.core",
+            "repro.kvstore",
+            "repro.adversary",
+            "repro.analysis",
+            "repro.workloads",
+            "repro.idspace",
+            "repro.experiments",
+            "repro.devtools",
+        ],
     )
     def test_every_reexport_resolves(self, package):
         module = importlib.import_module(package)

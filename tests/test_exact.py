@@ -70,9 +70,6 @@ class TestDispatch:
             "bins:4", m, profile
         ) == bins_collision_probability(m, 4, profile)
         assert exact_collision_probability(
-            "bins", m, profile, k=4
-        ) == bins_collision_probability(m, 4, profile)
-        assert exact_collision_probability(
             "bins*", m, profile
         ) == bins_star_collision_probability(m, profile)
 

@@ -12,10 +12,7 @@ from repro.experiments import (
     experiment_ids,
     run_experiment,
 )
-from repro.experiments.framework import (
-    ExperimentResult,
-    geometric_midpoint_crossover,
-)
+from repro.experiments.framework import ExperimentResult
 
 QUICK = ExperimentConfig(quick=True, seed=99)
 
@@ -72,19 +69,6 @@ class TestFramework:
             quick=False, trials_scale=0.5
         ).trials(1000) == 500
         assert ExperimentConfig(quick=True).trials(10) == 50  # floor
-
-    def test_crossover_detection(self):
-        xs = [1, 2, 4, 8]
-        a = [1, 2, 4, 8]
-        b = [5, 5, 5, 5]
-        crossing = geometric_midpoint_crossover(xs, a, b)
-        assert crossing is not None
-        assert 2 < crossing < 8
-
-    def test_crossover_none(self):
-        assert geometric_midpoint_crossover(
-            [1, 2], [1, 1], [5, 5]
-        ) is None
 
 
 class TestRegistry:

@@ -1,17 +1,11 @@
-"""Tests for LSM iterators, external ingestion, and cache-key derivation."""
+"""Tests for LSM iterators and external ingestion."""
 
 import random
 from itertools import islice
 
 import pytest
 
-from repro.errors import ConfigurationError, KVStoreError
-from repro.idspace.cachekey import (
-    CACHE_KEY_BYTES,
-    derive_cache_key,
-    keys_alias,
-    split_cache_key,
-)
+from repro.errors import KVStoreError
 from repro.kvstore.db import MiniRocks
 from repro.kvstore.iterators import iterate_db, merge_rows, range_count
 from repro.kvstore.options import Options
@@ -156,28 +150,3 @@ class TestIngestExternal:
         with pytest.raises(KVStoreError):
             make_db().ingest_external([])
 
-
-class TestCacheKey:
-    def test_roundtrip(self):
-        key = derive_cache_key(0xABCDEF, 7)
-        assert len(key) == CACHE_KEY_BYTES
-        assert split_cache_key(key) == (0xABCDEF, 7)
-
-    def test_truncation_to_96_bits(self):
-        wide = (1 << 120) | 42
-        assert split_cache_key(derive_cache_key(wide, 0))[0] == (
-            wide & ((1 << 96) - 1)
-        )
-
-    def test_aliasing(self):
-        assert keys_alias(5, 5 + (1 << 96))
-        assert not keys_alias(5, 6)
-        assert derive_cache_key(5, 3) == derive_cache_key(5 + (1 << 96), 3)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            derive_cache_key(-1, 0)
-        with pytest.raises(ConfigurationError):
-            derive_cache_key(1, 1 << 32)
-        with pytest.raises(ConfigurationError):
-            split_cache_key(b"short")

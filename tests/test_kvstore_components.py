@@ -146,12 +146,6 @@ class TestBloomFilter:
         # 10 bits/key → ~1% theoretical; allow generous slack.
         assert false_positives < 2000 * 0.05
 
-    def test_expected_fp_rate(self):
-        bloom = BloomFilter(100, 10)
-        assert bloom.expected_false_positive_rate() == 0.0
-        bloom.add_all(f"{i}".encode() for i in range(100))
-        assert 0 < bloom.expected_false_positive_rate() < 0.05
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             BloomFilter(-1, 10)

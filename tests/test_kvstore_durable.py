@@ -132,7 +132,7 @@ class TestDurableWALGroupCommit:
             wal.append_put(b"k", b"v")
         assert wal.fsync_count == 0
         assert wal.synced_seqno == 0
-        assert storage.total_unsynced() > 0
+        assert storage.unsynced_bytes(segment_name(0)) > 0
 
     def test_wal_bytes_counts_framed_bytes(self):
         _, wal = self._wal(WriteMode.NOSYNC)

@@ -44,9 +44,6 @@ class TestDemandProfile:
         assert profile[1] == 2
         assert len(profile) == 3
 
-    def test_sorted_desc(self):
-        assert DemandProfile.of(1, 5, 3).sorted_desc().demands == (5, 3, 1)
-
 
 class TestRounding:
     def test_paper_example(self):
@@ -152,17 +149,6 @@ class TestFamilies:
         assert family.contains(DemandProfile.of(1, 1, 1, 1))
         assert not family.contains(DemandProfile.of(6, 1))
         assert not family.contains(DemandProfile.of(1, 1, 1, 1, 1))
-
-    def test_d1_continuation(self):
-        family = family_d1(3, 10)
-        assert family.admits_continuation([4, 3])  # can still reach (.. , ..)
-        assert not family.admits_continuation([9, 1])  # no room for 3rd >= 1
-        assert not family.admits_continuation([1, 1, 1, 1])
-
-    def test_dinf_continuation(self):
-        family = family_dinf(3, 4)
-        assert family.admits_continuation([4, 4])
-        assert not family.admits_continuation([5, 1])
 
     def test_family_validation(self):
         with pytest.raises(ProfileError):

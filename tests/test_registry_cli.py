@@ -2,17 +2,35 @@
 
 import pytest
 
+from repro.adversary.profiles import DemandProfile
+from repro.analysis.exact import exact_collision_probability
 from repro.cli import build_parser, main
 from repro.core.bins import BinsGenerator
 from repro.core.cluster import ClusterGenerator
 from repro.core.registry import (
     available_algorithms,
     make_generator,
+    parse_spec,
     register,
 )
 from repro.core.skew_aware import SkewAwareGenerator
 from repro.errors import ConfigurationError
 from repro.simulation.seeds import rng_for
+from repro.simulation.vectorized import plan_profile
+
+#: Malformed specs: an unknown name, wrong parameter counts, and
+#: parameters that are not integers.
+BAD_SPECS = [
+    "nonsense",
+    "bins",
+    "bins:4:4",
+    "cluster:3",
+    "random:7",
+    "cluster*:2",
+    "skew:4",
+    "bins:x",
+    "skew:4:y",
+]
 
 
 class TestRegistry:
@@ -56,6 +74,38 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             register("my:thing", ClusterGenerator)
 
+    def test_parse_spec(self):
+        assert parse_spec("Bins:16") == ("bins", (16,))
+        assert parse_spec(" cluster* ") == ("cluster_star", ())
+        assert parse_spec("bins_star") == ("bins_star", ())
+        assert parse_spec("skew:4:32") == ("skew", (4, 32))
+
+    def test_parse_spec_names_the_grammar(self):
+        with pytest.raises(ConfigurationError, match="bins takes bins:K"):
+            parse_spec("bins")
+        with pytest.raises(ConfigurationError, match="skew takes skew:I:J"):
+            parse_spec("skew:4")
+        with pytest.raises(ConfigurationError, match="no parameters"):
+            parse_spec("cluster:3")
+        with pytest.raises(ConfigurationError, match="non-integer"):
+            parse_spec("bins:x")
+
+    @pytest.mark.parametrize("spec", BAD_SPECS)
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            lambda spec: make_generator(spec, 64),
+            lambda spec: exact_collision_probability(
+                spec, 64, DemandProfile.of(4, 4)
+            ),
+            lambda spec: plan_profile(spec, 64, DemandProfile.of(4, 4)),
+        ],
+        ids=["make_generator", "exact", "plan_profile"],
+    )
+    def test_every_reader_rejects_a_malformed_spec(self, reader, spec):
+        with pytest.raises(ConfigurationError):
+            reader(spec)
+
 
 class TestCLI:
     def test_parser_builds(self):
@@ -97,6 +147,54 @@ class TestCLI:
     def test_analyze_unknown_algorithm_fails_cleanly(self, capsys):
         assert main(["analyze", "wat", "4,4"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "bins", "4,4"],
+            ["analyze", "bins:x", "4,4"],
+            ["worst", "bins", "--n", "2", "--d", "4", "--m", "64"],
+            ["analyze", "cluster:3", "4,4"],
+            ["analyze", "random:7", "4,4"],
+            ["simulate", "bins", "4,4", "--trials", "10"],
+            ["simulate", "cluster:3", "4,4", "--engine", "numpy",
+             "--trials", "10"],
+        ],
+    )
+    def test_malformed_spec_fails_cleanly(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "cluster", "4,x"],
+            ["simulate", "cluster", "4,,4", "--trials", "10"],
+        ],
+    )
+    def test_malformed_profile_fails_cleanly(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, demand, m",
+        [
+            (["cluster", "4,4", "--m", "2"], 4, 2),
+            (["cluster", "4,4", "--m", "2", "--engine", "numpy"], 4, 2),
+            (["cluster_star", "9,9", "--m", "8"], 9, 8),
+        ],
+    )
+    def test_simulate_rejects_a_demand_past_m(self, capsys, argv, demand, m):
+        """An instance cannot draw more than m IDs, so the profile is
+        refused with the message ``analyze`` gives, not estimated."""
+        assert main(["simulate", *argv, "--trials", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: profile demands an instance produce {demand} IDs "
+            f"from a universe of {m}\n"
+        )
+        assert main(["analyze", "cluster", argv[1], "--m", str(m)]) == 2
+        assert capsys.readouterr().err == err
 
     def test_simulate(self, capsys):
         assert main(
